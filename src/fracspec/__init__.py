@@ -16,8 +16,7 @@ from .residual import (FitError, ResidualReport, analyze,
                        residual_long_asymptote, residual_short_asymptote,
                        residual_trajectory, rhs_nonlinear)
 from .abm import (DivergenceError, IntegratorConfig, abm_solve, abm_solve_grid,
-                  abm_solve_two_phase, abm_weights_a, abm_weights_b,
-                  compare_solutions, two_phase_grid)
+                  abm_solve_two_phase, compare_solutions, two_phase_grid)
 
 __all__ = [
     "AccuracyWarning", "MlParams", "ml_asymptotic", "ml_eval", "ml_series",
@@ -30,6 +29,5 @@ __all__ = [
     "residual", "residual_long_asymptote", "residual_short_asymptote",
     "residual_trajectory", "rhs_nonlinear",
     "DivergenceError", "IntegratorConfig", "abm_solve", "abm_solve_grid",
-    "abm_solve_two_phase", "abm_weights_a", "abm_weights_b",
-    "compare_solutions", "two_phase_grid",
+    "abm_solve_two_phase", "compare_solutions", "two_phase_grid",
 ]

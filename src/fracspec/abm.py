@@ -1,17 +1,22 @@
 """Fractional Adams-Bashforth-Moulton predictor-corrector integrator.
 
-Solves the Caputo initial-value problem d^a X = f(X), X(0) = x0 on a uniform
-grid t_n = n h via the standard one-correction scheme with full memory:
+Solves the Caputo initial-value problem d^a X = f(X), X(0) = x0 with the
+standard one-correction scheme with full memory (Diethelm, Ford & Freed,
+Nonlinear Dyn. 29, 2002).  Every solver runs one loop, ``_march``, which at
+step n combines the history f_0..f_n with per-step weights:
 
-    predictor  X^P_{n+1} = x0 + (1/Gamma(a)) sum_j b_{j,n+1} f(X_j)
-    corrector  X_{n+1}   = x0 + h^a/Gamma(a+2) [f(X^P_{n+1})
-                                                + sum_j a_{j,n+1} f(X_j)]
+    predictor  X^P_{n+1} = x0 + P sum_j w_pred[j] f_j
+    corrector  X_{n+1}   = x0 + C [sum_j w_hist[j] f_j + w_self f(X^P_{n+1})]
 
-The history convolution makes the total work O(N^2).  A companion solver on
-arbitrary strictly increasing grids (product-rectangle predictor,
-product-trapezoid corrector) reduces to the same weights on uniform grids and
-enables a two-phase fine/coarse grid for long-horizon tail studies without
-resampling the memory integral.
+The weights come from one of two providers.  On the uniform grid t_n = n h
+the kernel sequences (m+1)^a - m^a and the product-trapezoid weights are
+computed once and each step takes reversed slices of them, with
+P = h^a/Gamma(a+1) and C = h^a/Gamma(a+2).  On an arbitrary strictly
+increasing grid the product-rectangle / product-trapezoid weights are rebuilt
+each step from u_j = t_{n+1} - t_j, with P = C = 1/Gamma(a); this path also
+carries the two-phase fine/coarse grid for long-horizon tail studies, which
+keeps the whole fine history without resampling.  The history convolution
+makes the total work O(N^2).
 """
 
 from __future__ import annotations
@@ -28,14 +33,16 @@ from .residual import rhs_nonlinear
 __all__ = [
     "DivergenceError",
     "IntegratorConfig",
-    "abm_weights_b",
-    "abm_weights_a",
     "abm_solve",
     "abm_solve_grid",
     "two_phase_grid",
     "abm_solve_two_phase",
     "compare_solutions",
 ]
+
+# Bound on N = round(t_max/h) for the uniform solver, which keeps the O(N^2)
+# history cost within a sane budget.
+MAX_STEPS = 400_000
 
 
 class DivergenceError(ArithmeticError):
@@ -49,18 +56,12 @@ class DivergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size, horizon and corrector iteration count.
-
-    alpha may be left None, in which case the problem's order is used; if set
-    it must agree.  max_steps bounds N = round(t_max/h) so the O(N^2) history
-    cost stays within a sane budget.
-    """
+    """Step size, horizon and corrector iteration count; the order is the
+    problem's own.  N = round(t_max/h) may not exceed MAX_STEPS."""
 
     t_max: float
     h: float = 1e-3
     corrector_iters: int = 1
-    alpha: float | None = None
-    max_steps: int = 400_000
 
     def __post_init__(self):
         if not (self.h > 0):
@@ -69,41 +70,12 @@ class IntegratorConfig:
             raise ValueError("t_max must be at least one step")
         if self.corrector_iters < 1:
             raise ValueError("corrector_iters must be >= 1")
-        if self.alpha is not None and not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.n_steps > self.max_steps:
-            raise ValueError(
-                f"{self.n_steps} steps exceed max_steps={self.max_steps}")
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"{self.n_steps} steps exceed MAX_STEPS={MAX_STEPS}")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_max / self.h))
-
-
-def abm_weights_b(n: int, j: int, alpha: float, h: float) -> float:
-    """Predictor weight b_{j,n+1} = (h^a/a) [(n+1-j)^a - (n-j)^a].
-
-    The solver applies the remaining 1/Gamma(a) factor; at alpha = 1 the
-    weight reduces to the Euler step h.
-    """
-    if not 0 <= j <= n:
-        raise ValueError("requires 0 <= j <= n")
-    return h ** alpha / alpha * ((n + 1 - j) ** alpha - (n - j) ** alpha)
-
-
-def abm_weights_a(n: int, j: int, alpha: float) -> float:
-    """Corrector weight a_{j,n+1} in units of the common factor h^a/Gamma(a+2).
-
-    a_{0,n+1} = n^(a+1) - (n-a)(n+1)^a and, for 1 <= j <= n,
-    a_{j,n+1} = (n-j+2)^(a+1) + (n-j)^(a+1) - 2(n-j+1)^(a+1); the terminal
-    node j = n+1 (the predicted point) carries weight 1.
-    """
-    if not 0 <= j <= n:
-        raise ValueError("requires 0 <= j <= n")
-    if j == 0:
-        return n ** (alpha + 1.0) - (n - alpha) * (n + 1) ** alpha
-    m = n - j
-    return (m + 2) ** (alpha + 1.0) + m ** (alpha + 1.0) - 2.0 * (m + 1) ** (alpha + 1.0)
 
 
 def _power_diff(m: np.ndarray, alpha: float) -> np.ndarray:
@@ -117,51 +89,69 @@ def _power_diff(m: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _rhs_scalar(spec: ProblemSpec, x: float) -> float:
-    return float(rhs_nonlinear(spec, x))
+def _uniform_weights(alpha: float, n_steps: int):
+    """Per-step weights on t_n = n h in units of the common factors.
+
+    Indexed by the lag m = n - j: predictor b_m = (m+1)^a - m^a; corrector
+    a_m = (m+2)^(a+1) + m^(a+1) - 2(m+1)^(a+1) for j >= 1 and
+    n^(a+1) - (n-a)(n+1)^a at j = 0; the predicted point carries weight 1.
+    """
+    m = np.arange(n_steps, dtype=float)
+    pred = _power_diff(m, alpha)
+    interior = ((m + 2.0) ** (alpha + 1.0) + m ** (alpha + 1.0)
+                - 2.0 * (m + 1.0) ** (alpha + 1.0))
+    first = m ** (alpha + 1.0) - (m - alpha) * (m + 1.0) ** alpha
+    for n in range(n_steps):
+        yield (pred[:n + 1][::-1],
+               np.concatenate((first[n:n + 1], interior[:n][::-1])), 1.0)
+
+
+def _grid_weights(times: np.ndarray, alpha: float):
+    """Per-step product-rectangle predictor and product-trapezoid corrector
+    weights on an arbitrary grid, in units of 1/Gamma(a)."""
+    for n in range(times.size - 1):
+        u = times[n + 1] - times[:n + 2]          # u[-1] = 0
+        ua = u ** alpha
+        ua1 = ua * u
+        d_a = (ua1[:-1] - ua1[1:]) / (alpha + 1.0)
+        d_b = (ua[:-1] - ua[1:]) / alpha
+        dt = np.diff(times[:n + 2])
+        w = np.zeros(n + 2)
+        w[:-1] += (d_a - u[1:] * d_b) / dt
+        w[1:] += (u[:-1] * d_b - d_a) / dt
+        yield d_b, w[:-1], w[-1]
+
+
+def _march(spec: ProblemSpec, times: np.ndarray, weights, pred_factor: float,
+           corr_factor: float, corrector_iters: int) -> np.ndarray:
+    """P(EC)^m E over ``times`` with weights (w_pred, w_hist, w_self) per
+    step, w_pred and w_hist aligned with f_0..f_n.  History sums are exact
+    (fsum over the weighted products).  Raises DivergenceError with the
+    offending step index if the state leaves the finite range."""
+    x = np.empty(times.size)
+    f = np.empty(times.size)
+    x[0] = spec.x0
+    f[0] = rhs_nonlinear(spec, spec.x0)
+    for n, (w_pred, w_hist, w_self) in enumerate(weights):
+        xp = spec.x0 + pred_factor * exact_dot(w_pred, f[:n + 1])
+        hist = exact_dot(w_hist, f[:n + 1])
+        xc = xp
+        for _ in range(corrector_iters):
+            xc = spec.x0 + corr_factor * (hist + w_self * rhs_nonlinear(spec, xc))
+        if not math.isfinite(xc):
+            raise DivergenceError(n + 1, times[n + 1])
+        x[n + 1] = xc
+        f[n + 1] = rhs_nonlinear(spec, xc)
+    return x
 
 
 def abm_solve(spec: ProblemSpec, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the problem's rate equation on the uniform grid t_n = n h.
-
-    P(EC)^m E with full (untruncated) memory; history sums are accumulated
-    exactly (fsum over the weighted products).  Raises DivergenceError with
-    the offending step index if the state leaves the finite range.
-    """
-    alpha = spec.alpha if cfg.alpha is None else cfg.alpha
-    if cfg.alpha is not None and cfg.alpha != spec.alpha:
-        raise ValueError("cfg.alpha disagrees with spec.alpha")
-    h = cfg.h
-    n_steps = cfg.n_steps
-    m = np.arange(n_steps, dtype=float)
-    pred_w = _power_diff(m, alpha)                        # (m+1)^a - m^a
-    corr_interior = ((m + 2.0) ** (alpha + 1.0) + m ** (alpha + 1.0)
-                     - 2.0 * (m + 1.0) ** (alpha + 1.0))  # j = 1..n via m = n-j
-    n_arr = np.arange(n_steps, dtype=float)
-    corr_first = n_arr ** (alpha + 1.0) - (n_arr - alpha) * (n_arr + 1.0) ** alpha
-
-    pred_factor = h ** alpha / math.gamma(alpha + 1.0)
-    corr_factor = h ** alpha / math.gamma(alpha + 2.0)
-
-    x = np.empty(n_steps + 1)
-    f = np.empty(n_steps + 1)
-    x[0] = spec.x0
-    f[0] = _rhs_scalar(spec, spec.x0)
-    for n in range(n_steps):
-        hist_pred = exact_dot(pred_w[:n + 1], f[n::-1])
-        xp = spec.x0 + pred_factor * hist_pred
-        if n == 0:
-            hist_corr = corr_first[0] * f[0]
-        else:
-            hist_corr = corr_first[n] * f[0] + exact_dot(corr_interior[:n], f[n:0:-1])
-        xc = xp
-        for _ in range(cfg.corrector_iters):
-            xc = spec.x0 + corr_factor * (_rhs_scalar(spec, xc) + hist_corr)
-        if not math.isfinite(xc):
-            raise DivergenceError(n + 1, (n + 1) * h)
-        x[n + 1] = xc
-        f[n + 1] = _rhs_scalar(spec, xc)
-    times = h * np.arange(n_steps + 1)
+    """Integrate the problem's rate equation on the uniform grid t_n = n h."""
+    alpha, h = spec.alpha, cfg.h
+    times = h * np.arange(cfg.n_steps + 1)
+    x = _march(spec, times, _uniform_weights(alpha, cfg.n_steps),
+               h ** alpha / math.gamma(alpha + 1.0),
+               h ** alpha / math.gamma(alpha + 2.0), cfg.corrector_iters)
     info = {"h": h, "alpha": alpha, "corrector_iters": cfg.corrector_iters,
             "scheme": "abm-uniform"}
     return Trajectory(times=times, values=x, meta="numerical", info=info)
@@ -170,46 +160,18 @@ def abm_solve(spec: ProblemSpec, cfg: IntegratorConfig) -> Trajectory:
 def abm_solve_grid(spec: ProblemSpec, times, corrector_iters: int = 1) -> Trajectory:
     """Predictor-corrector on an arbitrary strictly increasing grid.
 
-    Product-rectangle predictor and product-trapezoid (piecewise linear)
-    corrector weights are rebuilt each step from u_j = t_{n+1} - t_j, so the
-    memory integral is treated exactly on non-uniform grids; on a uniform grid
-    the weights coincide with abm_weights_b / abm_weights_a.
+    The memory integral is treated exactly on non-uniform grids; on a uniform
+    grid the weights coincide with abm_solve's.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
         raise ValueError("times must start at 0 and contain at least two nodes")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    alpha = spec.alpha
-    inv_gamma_a = 1.0 / math.gamma(alpha)
-    n_nodes = times.size
-    x = np.empty(n_nodes)
-    f = np.empty(n_nodes)
-    x[0] = spec.x0
-    f[0] = _rhs_scalar(spec, spec.x0)
-    for n in range(n_nodes - 1):
-        u = times[n + 1] - times[:n + 2]          # u[-1] = 0
-        ua = u ** alpha
-        ua1 = ua * u
-        d_a = (ua1[:-1] - ua1[1:]) / (alpha + 1.0)
-        d_b = (ua[:-1] - ua[1:]) / alpha
-        dt = np.diff(times[:n + 2])
-        left = (d_a - u[1:] * d_b) / dt
-        right = (u[:-1] * d_b - d_a) / dt
-        w = np.zeros(n + 2)
-        w[:-1] += left
-        w[1:] += right
-
-        xp = spec.x0 + inv_gamma_a * exact_dot(d_b, f[:n + 1])
-        hist = exact_dot(w[:n + 1], f[:n + 1])
-        xc = xp
-        for _ in range(corrector_iters):
-            xc = spec.x0 + inv_gamma_a * (hist + w[n + 1] * _rhs_scalar(spec, xc))
-        if not math.isfinite(xc):
-            raise DivergenceError(n + 1, times[n + 1])
-        x[n + 1] = xc
-        f[n + 1] = _rhs_scalar(spec, xc)
-    info = {"alpha": alpha, "corrector_iters": corrector_iters,
+    inv_gamma_a = 1.0 / math.gamma(spec.alpha)
+    x = _march(spec, times, _grid_weights(times, spec.alpha),
+               inv_gamma_a, inv_gamma_a, corrector_iters)
+    info = {"alpha": spec.alpha, "corrector_iters": corrector_iters,
             "scheme": "abm-grid"}
     return Trajectory(times=times, values=x, meta="numerical", info=info)
 

@@ -22,8 +22,6 @@ from .problems import (EquationKind, ProblemSpec, build_spectrum,
                        closed_form_integer, eval_trajectory)
 from .residual import FitError, analyze, residual_trajectory
 
-WORKER_ENV = "FRACSPEC_SWEEP_WORKERS"
-
 __all__ = ["main"]
 
 
@@ -114,20 +112,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Values of the spec parameters left unset on the command line; parameters an
+# equation does not use are passed through as given.
+_DEFAULTS = {
+    EquationKind.RICCATI: {"alpha": 0.75, "x0": 0.0},
+    EquationKind.LOGISTIC: {"alpha": 0.75, "x0": 0.75, "lambda_": 1.0},
+    EquationKind.CUBIC: {"alpha": 0.75, "x0": 1.0, "a": 1.0, "b": 1.0},
+}
+
+
 def _make_spec(equation: str, alpha, x0, lambda_, a, b) -> ProblemSpec:
     kind = EquationKind(equation)
-    alpha = 0.75 if alpha is None else float(alpha)
-    if kind is EquationKind.RICCATI:
-        x0 = 0.0 if x0 is None else float(x0)
-        return ProblemSpec(kind=kind, alpha=alpha, x0=x0, lambda_=lambda_, a=a, b=b)
-    if kind is EquationKind.LOGISTIC:
-        x0 = 0.75 if x0 is None else float(x0)
-        lambda_ = 1.0 if lambda_ is None else float(lambda_)
-        return ProblemSpec(kind=kind, alpha=alpha, x0=x0, lambda_=lambda_, a=a, b=b)
-    x0 = 1.0 if x0 is None else float(x0)
-    a = 1.0 if a is None else float(a)
-    b = 1.0 if b is None else float(b)
-    return ProblemSpec(kind=kind, alpha=alpha, x0=x0, lambda_=lambda_, a=a, b=b)
+    params = {"alpha": alpha, "x0": x0, "lambda_": lambda_, "a": a, "b": b}
+    for name, default in _DEFAULTS[kind].items():
+        params[name] = default if params[name] is None else float(params[name])
+    return ProblemSpec(kind=kind, **params)
 
 
 def _time_grid(args) -> np.ndarray:
@@ -230,9 +229,10 @@ def _parse_list(raw, default):
 
 def cmd_sweep(args) -> int:
     kind = EquationKind(args.equation)
-    alphas = _parse_list(args.alpha, 0.75)
-    x0s = _parse_list(args.x0, {"riccati": 0.0, "logistic": 0.75, "cubic": 1.0}[kind.value])
-    lambdas = _parse_list(args.lambda_, 1.0) if kind is EquationKind.LOGISTIC else [None]
+    defaults = _DEFAULTS[kind]
+    alphas = _parse_list(args.alpha, defaults["alpha"])
+    x0s = _parse_list(args.x0, defaults["x0"])
+    lambdas = _parse_list(args.lambda_, defaults["lambda_"]) if "lambda_" in defaults else [None]
 
     combos = []
     for alpha in alphas:
@@ -253,7 +253,7 @@ def cmd_sweep(args) -> int:
         report.to_csv(out_dir / name)
         return name
 
-    workers = int(os.environ.get(WORKER_ENV, "0")) or min(4, os.cpu_count() or 1)
+    workers = min(4, os.cpu_count() or 1)
     done, failure = [], None
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for item, res in zip(combos, pool.map(_trap(run), combos)):

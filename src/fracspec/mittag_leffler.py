@@ -14,7 +14,10 @@ dispatches over three branches:
       E_alpha(-x) = sin(pi a)/(pi a) *
                     int_0^inf exp(-s**(1/a)) * x / (s^2 + 2xs cos(pi a) + x^2) ds
 
-  on the mid negative axis, accurate to ~1e-13 relative for alpha <= 0.97,
+  on the mid negative axis, accurate to ~1e-13 relative for alpha <= 0.985
+  and ~1e-9 at alpha = 0.99 (measured against a 60-digit series); beyond,
+  the step floor cannot resolve the near-pole (2e-6 at 0.995, 3e-2 at
+  0.999), so mid-band points above alpha = 0.99 raise an AccuracyWarning,
 * the inverse-power asymptotic series beyond ``asymptote_switch``.
 
 At alpha = 1 every branch collapses to exp(z), which is returned directly.
@@ -50,6 +53,10 @@ _SERIES_NEG_EXPONENT_CAP = 11.5
 _CANCELLATION_RATIO = 1.0e8
 
 _DEFAULT_ASYM_TERMS = 5
+
+# Order above which the mid-band quadrature, held at its step floor, loses
+# more than ~1e-9 relative; its results are flagged as degraded.
+_QUAD_ALPHA_MAX = 0.99
 
 
 class AccuracyWarning(UserWarning):
@@ -263,6 +270,9 @@ def ml_eval(z, p: MlParams):
                           AccuracyWarning, stacklevel=2)
     if mid.any():
         out[mid] = _integral_core(-arr[mid], p.alpha)
+        if p.alpha > _QUAD_ALPHA_MAX:
+            warnings.warn(f"quadrature branch accuracy degraded at alpha > "
+                          f"{_QUAD_ALPHA_MAX:g}", AccuracyWarning, stacklevel=2)
     if deep.any():
         out[deep] = _asym_core(-arr[deep], p.alpha, _DEFAULT_ASYM_TERMS)
     return float(out[0]) if scalar else out

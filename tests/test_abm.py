@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from fracspec import (DivergenceError, IntegratorConfig, MlParams, Trajectory,
                       abm_solve, abm_solve_grid, abm_solve_two_phase,
-                      abm_weights_a, abm_weights_b, build_spectrum,
-                      closed_form_integer, compare_solutions, cubic,
-                      eval_trajectory, fit_power_law, logistic, ml_eval,
-                      riccati, two_phase_grid)
+                      build_spectrum, closed_form_integer, compare_solutions,
+                      cubic, eval_trajectory, fit_power_law, logistic,
+                      ml_eval, riccati, two_phase_grid)
+from fracspec.abm import _uniform_weights
 
 
 class TestConfig:
@@ -22,49 +23,54 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=1.0, corrector_iters=0)
         with pytest.raises(ValueError):
-            IntegratorConfig(t_max=1e4, h=1e-3, max_steps=10_000)
+            IntegratorConfig(t_max=1e4, h=1e-3)     # 1e7 steps > MAX_STEPS
 
     def test_n_steps(self):
         assert IntegratorConfig(t_max=10.0, h=1e-3).n_steps == 10_000
 
 
+def step_weights(alpha, n):
+    """The uniform provider's (w_pred, w_hist, w_self) for the step n -> n+1,
+    aligned with f_0..f_n, in units of h^a/Gamma(a+1) and h^a/Gamma(a+2)."""
+    return next(itertools.islice(_uniform_weights(alpha, n + 1), n, None))
+
+
 class TestWeights:
     def test_predictor_euler_limit(self):
         for n, j in [(0, 0), (5, 2), (50, 50)]:
-            assert abm_weights_b(n, j, 1.0, 0.25) == pytest.approx(0.25, rel=1e-14)
+            assert step_weights(1.0, n)[0][j] == pytest.approx(1.0, rel=1e-14)
 
     def test_predictor_substitution(self):
-        assert abm_weights_b(0, 0, 0.5, 1.0) == pytest.approx(2.0, rel=1e-14)
+        # b_0 = 1^a - 0^a; times h^a/Gamma(a+1) it is the one-step integral
+        # h^a/(a Gamma(a)) of the kernel
+        w_pred, _, _ = step_weights(0.5, 0)
+        assert w_pred.tolist() == [1.0]
 
     def test_predictor_positive_decreasing_in_lag(self):
         for alpha in [0.5, 0.75, 0.9]:
             for n in [10, 100]:
-                w = np.array([abm_weights_b(n, j, alpha, 1e-2) for j in range(n + 1)])
+                w = step_weights(alpha, n)[0]
+                assert w.size == n + 1
                 assert np.all(w > 0)
                 assert np.all(np.diff(w) > 0)   # weight grows toward j = n (lag shrinks)
 
     def test_corrector_first_weight(self):
-        # first step (n = 0): 0^(a+1) - (0 - a) * 1^a = a
-        assert abm_weights_a(0, 0, 0.5) == pytest.approx(0.5, rel=1e-14)
+        # first step (n = 0): 0^(a+1) - (0 - a) * 1^a = a; the predicted
+        # point carries weight 1
+        _, w_hist, w_self = step_weights(0.5, 0)
+        assert w_hist[0] == pytest.approx(0.5, rel=1e-14)
+        assert w_self == 1.0
 
     def test_corrector_interior_integer_limit(self):
         # raw interior weight 2; the solver's common factor h/Gamma(3) halves
         # it to the trapezoid value h
-        for j in range(1, 6):
-            assert abm_weights_a(6, j, 1.0) == pytest.approx(2.0, rel=1e-13)
+        w_hist = step_weights(1.0, 6)[1]
+        assert w_hist[1:] == pytest.approx(2.0, rel=1e-13)
 
     def test_corrector_nonnegative_scan(self):
         for alpha in [0.3, 0.5, 0.75, 0.9, 1.0]:
             for n in [1, 2, 5, 17, 130, 1024, 10_000]:
-                j = np.unique(np.clip(np.geomspace(1, n, 12).astype(int), 0, n))
-                vals = [abm_weights_a(n, int(jj), alpha) for jj in [0, *j]]
-                assert min(vals) >= 0.0
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            abm_weights_b(3, 4, 0.5, 1e-3)
-        with pytest.raises(ValueError):
-            abm_weights_a(3, -1, 0.5)
+                assert step_weights(alpha, n)[1].min() >= 0.0
 
 
 class TestSolve:
@@ -116,11 +122,6 @@ class TestSolve:
         with pytest.raises(DivergenceError) as err:
             abm_solve(spec, IntegratorConfig(t_max=1.0, h=0.1))
         assert err.value.step >= 1
-
-    def test_alpha_mismatch_rejected(self):
-        cfg = IntegratorConfig(t_max=1.0, h=1e-2, alpha=0.5)
-        with pytest.raises(ValueError):
-            abm_solve(riccati(0.75, 0.5), cfg)
 
 
 class TestGridSolver:
@@ -182,4 +183,4 @@ class TestCompare:
        frac=st.floats(min_value=0.0, max_value=1.0))
 def test_predictor_weights_positive_property(alpha, n, frac):
     j = int(round(frac * n))
-    assert abm_weights_b(n, j, alpha, 1e-3) > 0.0
+    assert step_weights(alpha, n)[0][j] > 0.0

@@ -1,0 +1,44 @@
+"""The benchmark traces fracspec by replacing module attributes by name
+(``bench/tracing.py``); every name it wraps must stay bound."""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    # executed from its source so that nothing is written under bench/
+    module = types.ModuleType("bench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+tracing = _load_tracing()
+BINDINGS = sorted({(modname, attr) for _, modules, attr, _, _ in tracing.LAYERS
+                   for modname in modules})
+# modules by name, as the benchmark holds them (the package's own
+# ``residual`` attribute is a function)
+fx = types.SimpleNamespace(**{
+    name: importlib.import_module(f"fracspec.{name}")
+    for name in {modname for modname, _ in BINDINGS} | {"mittag_leffler"}})
+
+
+@pytest.mark.parametrize("modname, attr", BINDINGS)
+def test_layer_binding_resolves(modname, attr):
+    assert callable(getattr(getattr(fx, modname), attr, None)), f"fracspec.{modname}.{attr}"
+
+
+def test_install_round_trip():
+    originals = {pair: getattr(getattr(fx, pair[0]), pair[1]) for pair in BINDINGS}
+    tracer = tracing.Tracer()
+    tracer.install(fx)
+    try:
+        assert fx.abm.exact_dot is not originals[("abm", "exact_dot")]
+    finally:
+        tracer.uninstall()
+    for (modname, attr), fn in originals.items():
+        assert getattr(getattr(fx, modname), attr) is fn

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,18 @@ class TestEval:
         q50 = float(_integral_core(np.array([p.asymptote_switch]), alpha)[0])
         a50 = ml_asymptotic(p.asymptote_switch, alpha)
         assert abs(q50 - a50) / abs(q50) < 1e-6
+
+    def test_quadrature_near_one_warns(self):
+        # the mid band at alpha = 0.999 is off by ~3e-2 relative
+        with pytest.warns(AccuracyWarning):
+            ml_eval(-11.6, MlParams(alpha=0.999))
+
+    def test_quadrature_at_099_silent(self):
+        p = MlParams(alpha=0.99)
+        z = -0.5 * (p.series_neg_cutoff + p.asymptote_switch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            ml_eval(z, p)
 
     def test_array_shape_and_scalar(self):
         p = MlParams(alpha=0.75)
