@@ -158,6 +158,31 @@ class SpectralSolution:
         if self.eigenvalues.shape != (self.terms,) or self.coeffs.shape != (self.terms,):
             raise ValueError("eigenvalues/coeffs must have length == terms")
 
+    @property
+    def tail_bound(self) -> float:
+        """Certified truncation bound sum_{k >= terms} |c_k| on |X - X_K|.
+
+        It holds at every t >= 0 because every eigenvalue is <= 0 and
+        E_a(-x) is completely monotone, so 0 < E_a(-x) <= 1 (Pollard 1948).
+        riccati 2|r|^K/(1-|r|), logistic |q|^K/(1-|q|), cubic
+        r_K rho^K/(1-rho) x0/sqrt(beta+1) with r_K = (2K-1)!!/(2K)!!, which
+        bounds the cubic tail since r_k decreases in k; inf when the mode
+        ratio has modulus 1 (riccati x0 = 0).
+        """
+        spec, K = self.spec, self.terms
+        if spec.kind is EquationKind.RICCATI:
+            ratio, amplitude = abs((spec.x0 - 1.0) / (spec.x0 + 1.0)), 2.0
+        elif spec.kind is EquationKind.LOGISTIC:
+            ratio, amplitude = abs((spec.x0 - 1.0) / spec.x0), 1.0
+        else:
+            beta = (spec.b / spec.a) * spec.x0 ** 2
+            ratio = beta / (beta + 1.0)
+            r_K = math.exp(math.lgamma(K + 0.5) - math.lgamma(K + 1.0)) / math.sqrt(math.pi)
+            amplitude = r_K * abs(spec.x0) / math.sqrt(beta + 1.0)
+        if ratio >= 1.0:
+            return math.inf
+        return amplitude * ratio ** K / (1.0 - ratio)
+
 
 def build_spectrum(spec: ProblemSpec, terms: int = 100) -> SpectralSolution:
     """Eigenvalues and composite coefficients of the truncated expansion.

@@ -278,20 +278,39 @@ def rescale_residual(traj: Trajectory, lambda_: float, alpha: float) -> Trajecto
                       meta=traj.meta, info=traj.info)
 
 
-def fit_power_law(traj: Trajectory, t_lo: float, t_hi: float) -> tuple[float, float]:
-    """Least-squares slope/prefactor of log|value| against log t on a window.
-
-    Returns (exponent, prefactor).  Raises FitError when fewer than 5 nonzero
-    samples fall inside [t_lo, t_hi] or the values change sign there.
-    """
+def _fit_window(traj: Trajectory, t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(t, log|value|) inside [t_lo, t_hi]; FitError when fewer than 5 nonzero
+    samples fall inside or the values change sign there."""
     mask = (traj.times >= t_lo) & (traj.times <= t_hi) & (traj.values != 0.0)
     if mask.sum() < 5:
         raise FitError(f"need at least 5 nonzero points in [{t_lo:g}, {t_hi:g}]")
     vals = traj.values[mask]
     if np.any(vals > 0) and np.any(vals < 0):
         raise FitError("values change sign inside the fit window")
-    slope, intercept = np.polyfit(np.log(traj.times[mask]), np.log(np.abs(vals)), 1)
+    return traj.times[mask], np.log(np.abs(vals))
+
+
+def fit_power_law(traj: Trajectory, t_lo: float, t_hi: float) -> tuple[float, float]:
+    """Least-squares slope/prefactor of log|value| against log t on a window.
+
+    Returns (exponent, prefactor).  Raises FitError when fewer than 5 nonzero
+    samples fall inside [t_lo, t_hi] or the values change sign there.
+    """
+    t, log_abs = _fit_window(traj, t_lo, t_hi)
+    slope, intercept = np.polyfit(np.log(t), log_abs, 1)
     return float(slope), float(math.exp(intercept))
+
+
+def _window_exponent(traj: Trajectory, t_lo: float, t_hi: float, correction: float) -> float:
+    """log t coefficient of a least-squares fit of log|value| on the basis
+    {1, log t, t^correction}.  The residual's leading power holds only
+    asymptotically; its next-order t^(+-alpha) term would otherwise bias the
+    slope of a pure power-law fit on a finite window.  Raises FitError as
+    fit_power_law does."""
+    t, log_abs = _fit_window(traj, t_lo, t_hi)
+    design = np.stack([np.ones_like(t), np.log(t), t ** correction], axis=1)
+    coef, *_ = np.linalg.lstsq(design, log_abs, rcond=None)
+    return float(coef[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +318,9 @@ class ResidualReport:
     """Residual curve, its two asymptote models, fitted window exponents and
     the peak deviation (first occurrence on ties).
 
-    Fitted exponents are NaN when a window fit is impossible (alpha = 1, or a
+    The window exponents are the log t coefficients of fits of log|delta| on
+    {1, log t, t^alpha} (short window) and {1, log t, t^-alpha} (long window).
+    They are NaN when a window fit is impossible (alpha = 1, or a
     sign-changing window).
     """
 
@@ -351,14 +372,13 @@ def analyze(spec: ProblemSpec, terms: int = 100, grid=None,
     if long_window is None:
         long_window = (1e2, float(grid[-1]))
 
-    def _fit(window):
+    def _fit(window, correction):
         if spec.alpha >= 1.0:
             return math.nan
         try:
-            slope, _ = fit_power_law(delta, *window)
+            return _window_exponent(delta, *window, correction)
         except FitError:
             return math.nan
-        return slope
 
     idx = int(np.argmax(np.abs(delta.values)))
     return ResidualReport(
@@ -366,8 +386,8 @@ def analyze(spec: ProblemSpec, terms: int = 100, grid=None,
         grid=delta,
         short_asymptote=short,
         long_asymptote=long_,
-        fitted_short_exponent=_fit(short_window),
-        fitted_long_exponent=_fit(long_window),
+        fitted_short_exponent=_fit(short_window, spec.alpha),
+        fitted_long_exponent=_fit(long_window, -spec.alpha),
         max_abs_delta=float(np.abs(delta.values[idx])),
         t_at_max=float(delta.times[idx]),
     )

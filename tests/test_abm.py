@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from fracspec import (DivergenceError, IntegratorConfig, MlParams, Trajectory,
                       build_spectrum, closed_form_integer, compare_solutions,
                       cubic, eval_trajectory, fit_power_law, logistic,
                       ml_eval, riccati, two_phase_grid)
-from fracspec.abm import _uniform_weights
+from fracspec.abm import (_grid_weights, _lattice, _lattice_kernels, _march,
+                          _uniform_weights)
 
 
 class TestConfig:
@@ -71,6 +73,74 @@ class TestWeights:
         for alpha in [0.3, 0.5, 0.75, 0.9, 1.0]:
             for n in [1, 2, 5, 17, 130, 1024, 10_000]:
                 assert step_weights(alpha, n)[1].min() >= 0.0
+
+
+class TestKernelTables:
+    # integer lags 0, 1, ... and log-spaced up to 1e6, where the closed forms
+    # (m+2)^(a+1) + m^(a+1) - 2(m+1)^(a+1) etc. cancel ~m^2 ulps (~1e-6)
+    LAGS = np.unique(np.rint(np.concatenate(([0.0], np.geomspace(1.0, 1e6, 200)))))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.9, 1.0])
+    def test_against_mpmath(self, alpha):
+        tables = _lattice_kernels(alpha, self.LAGS)
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            for i, lag in enumerate(self.LAGS.astype(int).tolist()):
+                m = mp.mpf(lag)
+                refs = ((m + 1) ** a - m ** a,
+                        (m + 2) ** (a + 1) + m ** (a + 1) - 2 * (m + 1) ** (a + 1),
+                        m ** (a + 1) - (m - a) * (m + 1) ** a,
+                        (m + 1) ** (a + 1) - m ** (a + 1) - (a + 1) * m ** a)
+                for name, table, ref in zip(("pred", "interior", "first", "right"),
+                                            tables, refs):
+                    rel = abs((float(table[i]) - ref) / ref)
+                    assert rel <= 1e-14, f"{name} alpha={alpha} m={lag}: {float(rel):.3g}"
+
+
+def _rebuilt(spec, grid):
+    """The per-step weight rebuild on the same grid, as the lattice reference."""
+    inv_gamma = 1.0 / math.gamma(spec.alpha)
+    return _march(spec, grid, _grid_weights(grid, spec.alpha), inv_gamma, inv_gamma, 1)
+
+
+class TestLatticeTables:
+    @pytest.mark.parametrize("h_fine, t_switch, h_coarse, t_max, tol", [
+        (1e-2, 1.0, 0.1, 3.0, 1e-13),
+        # the rebuild's own weights carry ~m^2 ulps at the long-tail size
+        (1e-2, 10.0, 0.5, 1e3, 1e-9),
+    ])
+    def test_two_phase_matches_rebuild(self, h_fine, t_switch, h_coarse, t_max, tol):
+        spec = riccati(0.75, 2.0)
+        grid = two_phase_grid(h_fine, t_switch, h_coarse, t_max)
+        assert _lattice(grid) is not None
+        two = abm_solve_two_phase(spec, h_fine, t_switch, h_coarse, t_max)
+        assert np.max(np.abs(two.values - _rebuilt(spec, grid))) <= tol
+
+    def test_sparse_lattice_rebuilds(self):
+        # on the lattice of its 1e-4 first step this grid spans 3e4 lags for
+        # 5 nodes; the rebuild is the cheaper path
+        grid = np.array([0.0, 1e-4, 1.0, 2.0, 3.0])
+        assert _lattice(grid) is None
+        spec = riccati(0.75, 2.0)
+        assert np.array_equal(abm_solve_grid(spec, grid).values, _rebuilt(spec, grid))
+
+    def test_off_lattice_grids_rebuild(self):
+        # both grids sit on a 1e-4 lattice but not on one of their own first
+        # step, so a fine uniform solve at h = 1e-4 contains their nodes; each
+        # must be as close to it as a lattice grid with its coarsest steps
+        spec = riccati(0.75, 2.0)
+        fine = abm_solve(spec, IntegratorConfig(t_max=1.0, h=1e-4))
+        rng = np.random.default_rng(0)
+        jittered = 1e-4 * np.cumsum(np.concatenate(([0], rng.integers(20, 60, 400))))
+        cases = [(two_phase_grid(3e-3, 0.3, 0.1, 1.0), two_phase_grid(4e-3, 0.3, 0.1, 1.0)),
+                 (jittered[jittered <= 1.0], 6.25e-3 * np.arange(161))]
+        for grid, coarser in cases:
+            assert _lattice(grid) is None and _lattice(coarser) is not None
+            err = {}
+            for name, g in (("off", grid), ("lattice", coarser)):
+                idx = np.rint(g / 1e-4).astype(int)
+                err[name] = np.max(np.abs(abm_solve_grid(spec, g).values - fine.values[idx]))
+            assert err["off"] <= err["lattice"], err
 
 
 class TestSolve:

@@ -9,6 +9,7 @@ from fracspec import (FitError, Trajectory, analyze, build_spectrum, cubic,
                       logistic, rescale_residual, residual,
                       residual_long_asymptote, residual_short_asymptote,
                       residual_trajectory, rhs_nonlinear, riccati)
+from fracspec.residual import _window_exponent
 
 A_GRID = [0.5, 0.75, 0.9]
 
@@ -292,6 +293,19 @@ class TestFitPowerLaw:
         traj = Trajectory(t, np.sin(t), meta="residual")
         with pytest.raises(FitError):
             fit_power_law(traj, 0.1, 10.0)
+
+
+class TestWindowExponent:
+    @pytest.mark.parametrize("power", [1.0, 3.0])
+    @pytest.mark.parametrize("window, correction", [((1e-4, 1e-2), 0.5),
+                                                    ((1e2, 1e3), -0.5)])
+    def test_pure_powers_exact(self, power, window, correction):
+        # t^a and t^(3a) carry no next-order term: the t^(+-a) basis function
+        # takes nothing from the log t coefficient
+        t = np.geomspace(1e-4, 1e3, 400)
+        traj = Trajectory(t, 2.0 * t ** (power * 0.5), meta="residual")
+        assert _window_exponent(traj, *window, correction) == pytest.approx(
+            power * 0.5, abs=1e-10)
 
 
 class TestAnalyze:

@@ -114,6 +114,29 @@ class TestEvalSolution:
             eval_solution(sol, -1.0)
 
 
+class TestTailBound:
+    def test_covers_cubic_truncation(self):
+        # ratio rho = 100/101: K = 100 gives 8.397 at t = 1e-6, K = 1000 9.965
+        sol = build_spectrum(cubic(0.75, 10.0), 100)
+        gap = abs(eval_solution(sol, 1e-6) - eval_solution(build_spectrum(sol.spec, 1000), 1e-6))
+        assert gap > 1.5
+        assert gap <= sol.tail_bound
+
+    @pytest.mark.parametrize("spec", [riccati(0.75, 0.5), riccati(0.9, 3.0),
+                                      logistic(0.5, 0.6, 2.0), cubic(0.5, -2.0, 1.0, 1.0)])
+    def test_bounds_summed_tail(self, spec):
+        # the geometric tails are exact; the cubic bound overestimates its sum
+        # by the decay of r_k past K (6% for the case here)
+        sol = build_spectrum(spec, 30)
+        summed = float(np.abs(build_spectrum(spec, 5000).coeffs[30:]).sum())
+        assert summed <= sol.tail_bound * (1 + 1e-12)
+        assert sol.tail_bound <= summed * (1 + 0.1)
+
+    def test_unit_ratio_unbounded(self):
+        assert build_spectrum(riccati(0.75, 0.0)).tail_bound == math.inf
+        assert build_spectrum(riccati(0.75, 1.0)).tail_bound == 0.0
+
+
 class TestEvalTrajectory:
     def test_single_point_grid(self):
         sol = build_spectrum(riccati(0.75, 0.5))
