@@ -2,25 +2,22 @@
 
 E_alpha(z) = sum_{k>=0} z^k / Gamma(alpha*k + 1), 0 < alpha <= 1.
 
-Double precision cannot evaluate the defining series for strongly negative z:
-the partial sums peak near exp(|z|**(1/alpha)) while the result decays like a
-power, so the alternating sum cancels catastrophically.  Evaluation therefore
-dispatches over three branches:
+z >= 0 sums the series.  For z < 0 it cannot be summed in double precision
+(partial sums peak near exp(|z|**(1/alpha)) while the result decays like a
+power), so E_alpha(-x), the Bromwich integral of s^(alpha-1)/(s^alpha + x) at
+t = 1, is taken by the trapezoidal rule on the Weideman-Trefethen parabola
+z(theta) = 32 (0.1309 - 0.1194 theta^2 + 0.25 i theta), h = 2 pi/32 (Math.
+Comp. 76, 2007; Garrappa, SIAM J. Numer. Anal. 53(3), 2015).  By conjugate
+symmetry that is one rational function of x with 16 nodes fixed per alpha:
 
-* the power series (term recurrence through log-Gamma ratios) close to the
-  origin and for all z >= 0,
-* a double-exponential quadrature of the spectral representation
+    E_alpha(-x) = Im sum_j w_j / (sigma_j + x),  theta_j > 0,
+    sigma_j = z_j^alpha,  w_j = (h/pi) exp(z_j) z_j' z_j^(alpha-1).
 
-      E_alpha(-x) = sin(pi a)/(pi a) *
-                    int_0^inf exp(-s**(1/a)) * x / (s^2 + 2xs cos(pi a) + x^2) ds
-
-  on the mid negative axis, accurate to ~1e-13 relative for alpha <= 0.985
-  and ~1e-9 at alpha = 0.99 (measured against a 60-digit series); beyond,
-  the step floor cannot resolve the near-pole (2e-6 at 0.995, 3e-2 at
-  0.999), so mid-band points above alpha = 0.99 raise an AccuracyWarning,
-* the inverse-power asymptotic series beyond ``asymptote_switch``.
-
-At alpha = 1 every branch collapses to exp(z), which is returned directly.
+Relative error against a 60-digit reference over x in [1e-9, 1e6]: at most
+4.4e-15 for alpha <= 0.5, 1.2e-14 at 0.75, 6.4e-14 at 0.9, 2.2e-13 at 0.97,
+8.2e-13 at 0.99 and 1.0e-11 at 0.999, growing like 1e-14/(1 - alpha) as the
+tail amplitude 1/Gamma(1 - alpha) vanishes.  At alpha = 1 every z returns
+exp(z).  ``ml_series`` and ``ml_asymptotic`` remain as standalone routines.
 """
 
 from __future__ import annotations
@@ -54,9 +51,8 @@ _CANCELLATION_RATIO = 1.0e8
 
 _DEFAULT_ASYM_TERMS = 5
 
-# Order above which the mid-band quadrature, held at its step floor, loses
-# more than ~1e-9 relative; its results are flagged as degraded.
-_QUAD_ALPHA_MAX = 0.99
+# Points per block in _integral_core, so its work arrays stay cache-sized.
+_BLOCK = 1 << 14
 
 
 class AccuracyWarning(UserWarning):
@@ -70,7 +66,12 @@ class MlParams:
     alpha            : order, in (0, 1]
     series_tol       : absolute truncation tolerance of the power series
     series_max_terms : hard cap on the number of series terms
-    asymptote_switch : |z| beyond which the asymptotic branch is used (z < 0)
+    asymptote_switch : |z| from which ``ml_asymptotic`` serves (z < 0)
+
+    ``ml_eval`` takes the contour form for every z < 0, so ``asymptote_switch``
+    and ``series_neg_cutoff`` no longer steer it: they only locate the old
+    seams, where the standalone ``ml_series`` and ``ml_asymptotic`` stop being
+    accurate on the negative axis.
     """
 
     alpha: float
@@ -90,7 +91,7 @@ class MlParams:
 
     @property
     def series_neg_cutoff(self) -> float:
-        """|z| up to which the series branch is used on the negative axis."""
+        """|z| up to which ``ml_series`` keeps ~1e-9 accuracy (z < 0)."""
         return min(self.asymptote_switch, _SERIES_NEG_EXPONENT_CAP ** self.alpha)
 
 
@@ -128,42 +129,53 @@ def _series_core(z: np.ndarray, p: MlParams):
     return value, active.copy(), cancel
 
 
-@lru_cache(maxsize=32)
-def _de_nodes(alpha: float):
-    """Double-exponential nodes/weights for the spectral representation.
+@lru_cache(maxsize=64)
+def _contour_nodes(alpha: float) -> np.ndarray:
+    """Per-node constants (k1, k2, m, n) of the contour form, one row a node.
 
-    s = exp(pi/2 * sinh(tau)) on tau in [-4.1, 4.1]; the step is refined as
-    alpha -> 1 because the integrand develops a near-pole of relative width
-    ~tan(pi(1-alpha)) at s = x|cos(pi alpha)|.
+    In y = 1/(1 + x), with s_j = sigma_j - 1 and v_j = w_j s_j, the form reads
+    E_alpha(-x) = y (Im sum_j w_j - y Im sum_j v_j / (1 + s_j y)).  The rule's
+    tail amplitude Im sum_j w_j is replaced by the exact 1/Gamma(1 - alpha),
+    which keeps the sign as alpha -> 1; every term is bounded for all finite
+    x.  Node j adds (m + n y) / (1 + y (k1 + k2 y)) to the sum, with
+    k1 = 2 Re s, k2 = |s|^2, m = Im v, n = Re s Im v - Im s Re v.
     """
-    tmax = 4.1
-    d = 2.0 * (1.0 - alpha) / 3.0
-    h = min(0.05, 0.8 * 2.0 * math.pi * d / 21.0)
-    h = max(h, 0.004)
-    n = int(math.ceil(2.0 * tmax / h))
-    tau = -tmax + h * np.arange(n + 1)
-    s = np.exp(0.5 * math.pi * np.sinh(tau))
-    w = s * (0.5 * math.pi) * np.cosh(tau) * h
-    with np.errstate(over="ignore"):            # inf is clamped to exp(-745)
-        w *= np.exp(-np.minimum(s ** (1.0 / alpha), 745.0))
-    s.setflags(write=False)
-    w.setflags(write=False)
-    return s, w
+    h = 2.0 * math.pi / 32
+    theta = h * (np.arange(16) + 0.5)                   # the theta_j > 0
+    z = 32 * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
+    dz = 32 * (-0.2388 * theta + 0.25j)
+    w = (h / math.pi) * np.exp(z) * dz * z ** (alpha - 1.0)
+    s = z ** alpha - 1.0
+    v = w * s
+    table = np.column_stack([2.0 * s.real, np.abs(s) ** 2, v.imag,
+                             s.real * v.imag - s.imag * v.real])
+    table.setflags(write=False)
+    return table
 
 
 def _integral_core(x: np.ndarray, alpha: float) -> np.ndarray:
-    s, we = _de_nodes(alpha)
-    cospa = math.cos(math.pi * alpha)
-    sinpa = math.sin(math.pi * alpha)
+    """E_alpha(-x), x >= 0, 0 < alpha < 1: the contour form, one node at a
+    time over blocks of points."""
+    table = _contour_nodes(alpha)
+    tail = float(rgamma(1.0 - alpha))
     out = np.empty_like(x)
-    s2 = np.square(s)
-    # chunk so the (x, nodes) work array stays cache-sized
-    step = max(1, 2_000_000 // s.size)
-    for lo in range(0, x.size, step):
-        xb = x[lo:lo + step, None]
-        denom = s2[None, :] + (2.0 * cospa) * xb * s[None, :] + np.square(xb)
-        out[lo:lo + step] = (we[None, :] / denom).sum(axis=1)
-    return (sinpa / (math.pi * alpha)) * x * out
+    for lo in range(0, x.size, _BLOCK):
+        y = 1.0 / (1.0 + x[lo:lo + _BLOCK])
+        acc, den, num = np.zeros_like(y), np.empty_like(y), np.empty_like(y)
+        for k1, k2, m, n in table:
+            np.multiply(y, k2, out=den)
+            den += k1
+            den *= y
+            den += 1.0
+            np.multiply(y, n, out=num)
+            num += m
+            num /= den
+            acc += num
+        acc *= -y
+        acc += tail
+        acc *= y
+        out[lo:lo + _BLOCK] = acc
+    return out
 
 
 def _asym_core(x: np.ndarray, alpha: float, n_terms: int) -> np.ndarray:
@@ -241,13 +253,13 @@ def ml_asymptotic(x, alpha: float, n_terms: int = _DEFAULT_ASYM_TERMS):
 
 
 def ml_eval(z, p: MlParams):
-    """Branch-dispatched evaluation of E_alpha(z) on the real line.
+    """E_alpha(z) on the real line.
 
-    alpha = 1 returns exp(z) exactly.  Otherwise the series handles
-    z >= -series_neg_cutoff (and all z >= 0), the spectral-representation
-    quadrature covers the mid band down to -asymptote_switch, and the
-    asymptotic series takes over beyond.  Branch values agree to better than
-    1e-6 relative at the seams for alpha in [0.3, 0.95] (tested property).
+    alpha = 1 returns exp(z) exactly.  Otherwise z >= 0 takes the power series
+    and every z < 0 the fixed parabolic-contour rational form (module
+    docstring), whose relative error is at most 4.4e-15 for alpha <= 0.5,
+    6.4e-14 at 0.9 and 1.0e-11 at 0.999.  An AccuracyWarning flags a series
+    result that reached ``series_max_terms``.
     """
     arr, scalar = _as_array(z)
     if not np.isfinite(arr).all():
@@ -257,24 +269,11 @@ def ml_eval(z, p: MlParams):
         return float(out[0]) if scalar else out
 
     out = np.empty_like(arr)
-    cutoff = p.series_neg_cutoff
-    ser = arr >= -cutoff
-    deep = arr < -p.asymptote_switch
-    mid = ~ser & ~deep
-
-    if ser.any():
-        value, hit_cap, cancel = _series_core(arr[ser], p)
-        out[ser] = value
-        if hit_cap.any() or cancel.any():
-            warnings.warn("series branch accuracy degraded",
-                          AccuracyWarning, stacklevel=2)
-    if mid.any():
-        out[mid] = _integral_core(-arr[mid], p.alpha)
-        if p.alpha > _QUAD_ALPHA_MAX:
-            warnings.warn(f"quadrature branch accuracy degraded at alpha > "
-                          f"{_QUAD_ALPHA_MAX:g}", AccuracyWarning, stacklevel=2)
-    if deep.any():
-        out[deep] = _asym_core(-arr[deep], p.alpha, _DEFAULT_ASYM_TERMS)
+    neg = arr < 0.0
+    out[neg] = _integral_core(-arr[neg], p.alpha)
+    out[~neg], hit_cap, _ = _series_core(arr[~neg], p)   # z >= 0: nothing cancels
+    if hit_cap.any():
+        warnings.warn("series branch accuracy degraded", AccuracyWarning, stacklevel=2)
     return float(out[0]) if scalar else out
 
 

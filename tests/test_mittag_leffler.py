@@ -142,10 +142,38 @@ class TestEval:
         a50 = ml_asymptotic(p.asymptote_switch, alpha)
         assert abs(q50 - a50) / abs(q50) < 1e-6
 
-    def test_quadrature_near_one_warns(self):
-        # the mid band at alpha = 0.999 is off by ~3e-2 relative
-        with pytest.warns(AccuracyWarning):
-            ml_eval(-11.6, MlParams(alpha=0.999))
+    @pytest.mark.parametrize("alpha", [0.97, 0.99, 0.999])
+    def test_accuracy_near_one(self, alpha, ml_ref):
+        # the contour form loses accuracy like 1e-14/(1 - alpha) as the tail
+        # amplitude 1/Gamma(1 - alpha) vanishes, and nowhere faster
+        bound = 1e-10 if alpha > 0.99 else 5e-12
+        for x in np.geomspace(1e-9, 1e6, 12):
+            ref = float(ml_ref(-x, alpha))
+            got = ml_eval(-x, MlParams(alpha=alpha))
+            assert abs(got - ref) <= bound * ref, f"x={x:.3g}"
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    def test_accuracy_small_alpha(self, alpha, ml_ref):
+        for x in np.geomspace(1e-9, 1e6, 12):
+            ref = float(ml_ref(-x, alpha))
+            got = ml_eval(-x, MlParams(alpha=alpha))
+            assert abs(got - ref) <= 5e-13 * ref, f"x={x:.3g}"
+
+    def test_former_asymptotic_seam(self, ml_ref):
+        # five asymptotic terms just beyond |z| = 50 were off by 4.3e-7
+        ref = float(ml_ref(-50.1, 0.9))
+        assert ml_eval(-50.1, MlParams(alpha=0.9)) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_huge_arguments(self, alpha):
+        # far beyond where (x + Re sigma)^2 would overflow; three asymptotic
+        # terms are exact to double precision from x = 1e8 on
+        x = np.array([1e8, 1e12, 1e200, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ml_eval(-x, MlParams(alpha=alpha))
+            ref = ml_asymptotic(x, alpha, 3)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
     def test_quadrature_at_099_silent(self):
         p = MlParams(alpha=0.99)
