@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from fracspec import MlParams, ml_asymptotic, ml_eval, ml_series, ml_stretched_exp
+from fracspec import MlParams, ml_asymptotic, ml_eval, ml_series
 
 alpha = 0.75
 p = MlParams(alpha=alpha)
@@ -20,7 +20,7 @@ p = MlParams(alpha=alpha)
 print(f"E_{alpha}(-x) across twelve decades:")
 for x in np.geomspace(1e-4, 1e8, 13):
     val = ml_eval(-x, p)
-    stretched = ml_stretched_exp(x, 1.0, alpha)          # exp(-x/Gamma(1+a))
+    stretched = math.exp(-x / math.gamma(1 + alpha))   # matches E to first order in x
     tail = ml_asymptotic(x, alpha, 1) if x > 0 else float("nan")
     print(f"   x={x:9.2e}  E={val:.6e}  stretched={stretched:.2e}  tail={tail:.2e}")
 

@@ -5,11 +5,10 @@ independent fractional Adams-Bashforth-Moulton cross-check."""
 __version__ = "0.1.0"
 
 from .mittag_leffler import (AccuracyWarning, MlParams, ml_asymptotic, ml_eval,
-                             ml_series, ml_stretched_exp, mittag_leffler)
+                             ml_series, mittag_leffler)
 from .problems import (EquationKind, ProblemSpec, SpectralSolution, Trajectory,
                        build_spectrum, closed_form_integer, cubic,
-                       eval_solution, eval_trajectory, logistic, riccati,
-                       riccati_integer_series)
+                       eval_solution, eval_trajectory, logistic, riccati)
 from .residual import (FitError, ResidualReport, analyze,
                        cubic_long_coefficients, default_grid, fit_power_law,
                        lhs_caputo, rescale_residual, residual,
@@ -20,10 +19,10 @@ from .abm import (DivergenceError, IntegratorConfig, abm_solve, abm_solve_grid,
 
 __all__ = [
     "AccuracyWarning", "MlParams", "ml_asymptotic", "ml_eval", "ml_series",
-    "ml_stretched_exp", "mittag_leffler",
+    "mittag_leffler",
     "EquationKind", "ProblemSpec", "SpectralSolution", "Trajectory",
     "build_spectrum", "closed_form_integer", "cubic", "eval_solution",
-    "eval_trajectory", "logistic", "riccati", "riccati_integer_series",
+    "eval_trajectory", "logistic", "riccati",
     "FitError", "ResidualReport", "analyze", "cubic_long_coefficients",
     "default_grid", "fit_power_law", "lhs_caputo", "rescale_residual",
     "residual", "residual_long_asymptote", "residual_short_asymptote",

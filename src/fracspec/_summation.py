@@ -1,4 +1,5 @@
-"""Compensated summation kernels used by the mode sums and integrator history."""
+"""Compensated summation kernels that fracspec no longer calls.  They stay
+only while bench/tracing.py wraps them by name on problems, residual and abm."""
 
 from __future__ import annotations
 
@@ -11,14 +12,9 @@ def exact_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product with an exactly accumulated sum of the rounded products.
 
     The individual products carry one rounding each; their sum is exact
-    (math.fsum), which is what the ~1e-15 residual targets require for
-    histories of up to ~1e4 terms.
+    (math.fsum).
     """
     return math.fsum((np.asarray(a, dtype=float) * np.asarray(b, dtype=float)).tolist())
-
-
-def exact_sum(a: np.ndarray) -> float:
-    return math.fsum(np.asarray(a, dtype=float).tolist())
 
 
 def neumaier_dot_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ import numpy as np
 from . import __version__
 from .abm import DivergenceError, IntegratorConfig, abm_solve, abm_solve_two_phase
 from .io import format_float, write_csv, write_sidecar
-from .mittag_leffler import MlParams, ml_eval
+# Unused here; bench/tracing.py wraps this name on this module as a traced layer.
+from .mittag_leffler import ml_eval  # noqa: F401
 from .problems import (EquationKind, ProblemSpec, build_spectrum,
                        closed_form_integer, eval_trajectory)
 from .residual import FitError, analyze, residual_trajectory
@@ -101,13 +102,6 @@ def build_parser() -> _Parser:
     p.add_argument("--t-min", type=float, default=1e-4)
     p.add_argument("--t-max", type=float, default=1e3)
     p.add_argument("--out-dir", default="sweep_out")
-
-    p = sub.add_parser("ml-table")   # debugging aid, not advertised
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--z-lo", type=float, default=-50.0)
-    p.add_argument("--z-hi", type=float, default=0.0)
-    p.add_argument("--points", type=int, default=201)
-    p.add_argument("--out", default="ml_table.csv")
 
     return parser
 
@@ -308,21 +302,12 @@ def _rescaled_overlay(out_dir, alphas, x0s, lambdas, args) -> list[str]:
     return names
 
 
-def cmd_ml_table(args) -> int:
-    z = np.linspace(args.z_lo, args.z_hi, args.points)
-    vals = ml_eval(z, MlParams(alpha=args.alpha))
-    write_csv(args.out, ["z", "E_alpha"], [z, vals])
-    print(f"wrote {args.out}")
-    return 0
-
-
 _COMMANDS = {
     "solve": cmd_solve,
     "residual": cmd_residual,
     "integrate": cmd_integrate,
     "compare": cmd_compare,
     "sweep": cmd_sweep,
-    "ml-table": cmd_ml_table,
 }
 
 

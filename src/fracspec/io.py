@@ -76,9 +76,8 @@ def write_report_csv(report, path) -> None:
               preamble=preamble)
 
 
-def write_sidecar(path, entries: dict, timestamp: bool = True) -> None:
-    """Plain-text key=value metadata next to a data file."""
+def write_sidecar(path, entries: dict) -> None:
+    """Plain-text key=value metadata next to a data file, stamped created=."""
     lines = [f"{k}={v}" for k, v in entries.items()]
-    if timestamp:
-        lines.append(f"created={datetime.datetime.now().isoformat(timespec='seconds')}")
+    lines.append(f"created={datetime.datetime.now().isoformat(timespec='seconds')}")
     Path(path).write_text("\n".join(lines) + "\n")

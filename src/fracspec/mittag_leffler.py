@@ -34,7 +34,6 @@ __all__ = [
     "AccuracyWarning",
     "MlParams",
     "ml_series",
-    "ml_stretched_exp",
     "ml_asymptotic",
     "ml_eval",
     "mittag_leffler",
@@ -215,22 +214,6 @@ def ml_series(z, p: MlParams):
             "series result degraded by cancellation; use ml_eval for "
             "strongly negative arguments", AccuracyWarning, stacklevel=2)
     return float(value[0]) if scalar else value
-
-
-def ml_stretched_exp(lambda_, t, alpha: float):
-    """Short-time approximation exp(-lambda * t**alpha / Gamma(1 + alpha)).
-
-    Agrees with E_alpha(-lambda t^alpha) to first order in t^alpha only; the
-    quadratic terms differ for alpha < 1.
-    """
-    lam = np.asarray(lambda_, dtype=float)
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
-        raise ValueError("t must be non-negative")
-    if np.any(lam < 0):
-        raise ValueError("lambda_ must be non-negative")
-    out = np.exp(-lam * tt ** alpha / math.gamma(1.0 + alpha))
-    return float(out) if out.ndim == 0 else out
 
 
 def ml_asymptotic(x, alpha: float, n_terms: int = _DEFAULT_ASYM_TERMS):

@@ -21,7 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._summation import exact_dot, neumaier_dot_rows
+# Unused here; bench/tracing.py wraps both names on this module as traced layers.
+from ._summation import exact_dot, neumaier_dot_rows  # noqa: F401
 from .mittag_leffler import MlParams, ml_eval
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "eval_solution",
     "eval_trajectory",
     "closed_form_integer",
-    "riccati_integer_series",
 ]
 
 TRAJECTORY_KINDS = ("spectral", "closed-form", "numerical", "residual", "difference")
@@ -221,53 +221,55 @@ def build_spectrum(spec: ProblemSpec, terms: int = 100) -> SpectralSolution:
                             coeffs=coeffs, offset=offset)
 
 
-def _ml_params(sol: SpectralSolution, ml: MlParams | None) -> MlParams:
-    if ml is None:
-        return MlParams(alpha=sol.spec.alpha)
-    if ml.alpha != sol.spec.alpha:
-        raise ValueError("MlParams.alpha must match the problem order")
-    return ml
-
-
-def eval_solution(sol: SpectralSolution, t: float, ml: MlParams | None = None) -> float:
-    """Value of the truncated expansion at a single time.
-
-    t = 0 returns x0 exactly by construction: the expansion telescopes to x0
-    there analytically, but for the riccati edge x0 = 0 the mode ratio is -1
-    and the finite even-K sum-as-written would give -1 instead.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0:
-        return sol.spec.x0
-    p = _ml_params(sol, ml)
-    modes = ml_eval(sol.eigenvalues * t ** sol.spec.alpha, p)
-    return sol.offset + exact_dot(sol.coeffs, modes)
-
-
 def mode_matrix(sol: SpectralSolution, times: np.ndarray,
                 ml: MlParams | None = None) -> np.ndarray:
     """E_alpha(eigenvalues * t^alpha) on a grid; shape (len(times), terms)."""
-    p = _ml_params(sol, ml)
+    if ml is None:
+        ml = MlParams(alpha=sol.spec.alpha)
+    elif ml.alpha != sol.spec.alpha:
+        raise ValueError("MlParams.alpha must match the problem order")
     times = np.asarray(times, dtype=float)
     z = times[:, None] ** sol.spec.alpha * sol.eigenvalues[None, :]
-    return ml_eval(z.ravel(), p).reshape(z.shape)
+    return ml_eval(z.ravel(), ml).reshape(z.shape)
+
+
+def _mode_sums(modes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """modes @ weights, each row a plain pairwise sum of its own.  BLAS gemv
+    would round a row differently with the number of rows, making a time's
+    value depend on the rest of its grid."""
+    return (modes * weights).sum(axis=1)
+
+
+def _expansion(sol: SpectralSolution, grid,
+               ml: MlParams | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, modes, X) on a validated grid of times >= 0, with the mode sums
+    uncompensated: the residual's rounding error is set by the f(X) - LHS
+    subtraction, not by the order of summation.  X(0) = x0 exactly: the
+    expansion telescopes to x0 there analytically, but for the riccati edge
+    x0 = 0 the mode ratio is -1 and the even-K sum would give -1 instead.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-d array of times")
+    if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be non-negative and strictly increasing")
+    modes = mode_matrix(sol, grid, ml)
+    x = sol.offset + _mode_sums(modes, sol.coeffs)
+    if grid[0] == 0:
+        x[0] = sol.spec.x0
+    return grid, modes, x
 
 
 def eval_trajectory(sol: SpectralSolution, grid, ml: MlParams | None = None) -> Trajectory:
-    """Expansion sampled over a strictly increasing grid of times >= 0."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be non-empty")
-    if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be non-negative and strictly increasing")
-    values = np.empty_like(grid)
-    pos = grid > 0
-    if pos.any():
-        modes = mode_matrix(sol, grid[pos], ml)
-        values[pos] = sol.offset + neumaier_dot_rows(modes, sol.coeffs)
-    values[~pos] = sol.spec.x0
-    return Trajectory(times=grid, values=values, meta="spectral")
+    """Expansion sampled over a strictly increasing grid of times >= 0; X(0) = x0."""
+    grid, _, x = _expansion(sol, grid, ml)
+    return Trajectory(times=grid, values=x, meta="spectral")
+
+
+def eval_solution(sol: SpectralSolution, t: float, ml: MlParams | None = None) -> float:
+    """Value of the truncated expansion at a single time: a one-point
+    eval_trajectory, so t = 0 returns x0 exactly."""
+    return float(eval_trajectory(sol, t, ml).values[0])
 
 
 def closed_form_integer(spec: ProblemSpec, t):
@@ -293,20 +295,3 @@ def closed_form_integer(spec: ProblemSpec, t):
             1.0 + (spec.b / spec.a) * spec.x0 ** 2 * (1.0 - decay ** 2))
     return float(out) if out.ndim == 0 else out
 
-
-def riccati_integer_series(x0: float, terms: int, t):
-    """Exponential (alpha = 1) riccati mode sum, kept separate so the
-    machine-precision residual check exercises the series route itself:
-    X(t) = 2 sum_{k<terms} ((x0-1)/(x0+1))^k e^(-2kt) - 1.
-    """
-    if x0 < 0:
-        raise ValueError("requires x0 >= 0")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    tt = np.asarray(t, dtype=float)
-    ratio = (x0 - 1.0) / (x0 + 1.0)
-    k = np.arange(terms, dtype=float)
-    modes = np.exp(-2.0 * np.atleast_1d(tt)[:, None] * k[None, :])
-    weights = 2.0 * ratio ** k
-    out = neumaier_dot_rows(modes, weights) - 1.0
-    return float(out[0]) if tt.ndim == 0 else out

@@ -18,10 +18,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from ._summation import exact_dot, neumaier_dot_rows
-from .mittag_leffler import MlParams, ml_eval
+from .mittag_leffler import MlParams
 from .problems import (EquationKind, ProblemSpec, SpectralSolution, Trajectory,
-                       build_spectrum, mode_matrix)
+                       _expansion, _mode_sums, build_spectrum)
+
+# Unused here; bench/tracing.py wraps these names on this module as traced layers.
+from ._summation import exact_dot, neumaier_dot_rows  # noqa: F401
+from .mittag_leffler import ml_eval  # noqa: F401
+from .problems import mode_matrix  # noqa: F401
 
 __all__ = [
     "FitError",
@@ -67,44 +71,30 @@ def rhs_nonlinear(spec: ProblemSpec, x):
 
 
 def lhs_caputo(sol: SpectralSolution, t: float, ml: MlParams | None = None) -> float:
-    """Caputo derivative of the expansion, summed termwise.
+    """Caputo derivative of the expansion, summed termwise at a single time.
 
     Each mode obeys d^a E_a(l t^a) = l E_a(l t^a), so the derivative is
     sum_k c_k lambda_k E_a(lambda_k t^a).  At t = 0 this returns the finite
     mode-sum limit sum_k c_k lambda_k (the k = 0 constant mode contributes
     nothing for any t).
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if ml is None:
-        ml = MlParams(alpha=sol.spec.alpha)
-    modes = ml_eval(sol.eigenvalues * t ** sol.spec.alpha, ml)
-    return exact_dot(sol.coeffs * sol.eigenvalues, modes)
+    _, modes, _ = _expansion(sol, t, ml)
+    return float(_mode_sums(modes, sol.coeffs * sol.eigenvalues)[0])
 
 
 def residual(sol: SpectralSolution, t: float, ml: MlParams | None = None) -> float:
-    """Delta(t) = rhs_nonlinear(X(t)) - lhs_caputo(t) at a single time."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if ml is None:
-        ml = MlParams(alpha=sol.spec.alpha)
-    modes = ml_eval(sol.eigenvalues * t ** sol.spec.alpha, ml)
-    x = sol.spec.x0 if t == 0 else sol.offset + exact_dot(sol.coeffs, modes)
-    lhs = exact_dot(sol.coeffs * sol.eigenvalues, modes)
-    return rhs_nonlinear(sol.spec, x) - lhs
+    """Delta(t) = rhs_nonlinear(X(t)) - lhs_caputo(t) at a single time: a
+    one-point residual_trajectory."""
+    return float(residual_trajectory(sol, t, ml).values[0])
 
 
 def residual_trajectory(sol: SpectralSolution, grid,
                         ml: MlParams | None = None) -> Trajectory:
-    """Delta sampled over a grid of times > 0 (one mode matrix, reused for
-    both sides)."""
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be positive and strictly increasing")
-    modes = mode_matrix(sol, grid, ml)
-    x = sol.offset + neumaier_dot_rows(modes, sol.coeffs)
-    lhs = neumaier_dot_rows(modes, sol.coeffs * sol.eigenvalues)
-    delta = rhs_nonlinear(sol.spec, x) - lhs
+    """Delta sampled over a strictly increasing grid of times >= 0 (one mode
+    matrix, reused for both sides).  At t = 0, X = x0 and the LHS is the
+    mode-sum limit sum_k c_k lambda_k."""
+    grid, modes, x = _expansion(sol, grid, ml)
+    delta = rhs_nonlinear(sol.spec, x) - _mode_sums(modes, sol.coeffs * sol.eigenvalues)
     return Trajectory(times=grid, values=delta, meta="residual")
 
 
@@ -356,6 +346,8 @@ def analyze(spec: ProblemSpec, terms: int = 100, grid=None,
     if grid is None:
         grid = default_grid()
     grid = np.asarray(grid, dtype=float)
+    if not np.all(grid > 0):
+        raise ValueError("analysis grid must be positive (the fits take log t)")
     sol = build_spectrum(spec, terms)
     delta = residual_trajectory(sol, grid)
 

@@ -64,8 +64,9 @@ def ml_ref():
 # integral on a graded grid (the termwise eigen-identity never enters here)
 
 def caputo_l1(x_of_t, t: float, alpha: float, n: int = 4000, grading: float = 3.0) -> float:
+    """x_of_t maps the whole node array to the solution values on it."""
     tau = t * (np.arange(n + 1) / n) ** grading
-    x = np.asarray([x_of_t(v) for v in tau], dtype=float)
+    x = np.asarray(x_of_t(tau), dtype=float)
     dx = np.diff(x)
     dtau = np.diff(tau)
     kernel = (t - tau) ** (1.0 - alpha)

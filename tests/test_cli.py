@@ -178,15 +178,3 @@ class TestValidationAndExitCodes:
                    "--x0", "1", "--b", "1e9", "--h", "0.1", "--t-max", "2",
                    "--out", str(tmp_path / "d.csv"))
         assert code == 2
-
-
-class TestMlTable:
-    def test_table(self, tmp_path):
-        out = tmp_path / "ml.csv"
-        code = run("ml-table", "--alpha", "0.75", "--z-lo", "-60", "--z-hi",
-                   "0", "--points", "13", "--out", str(out))
-        assert code == 0
-        header, cols = read_csv(out)
-        assert header == ["z", "E_alpha"]
-        assert cols[1][-1] == 1.0            # E(0) = 1 exactly
-        assert np.all(np.diff(cols[1]) > 0)  # increasing toward z = 0

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracspec import (AccuracyWarning, MlParams, ml_asymptotic, ml_eval,
-                      ml_series, ml_stretched_exp, mittag_leffler)
+                      ml_series, mittag_leffler)
 
 A_GRID = [0.5, 0.75, 0.9]
 
@@ -51,29 +51,6 @@ class TestSeries:
         # far outside the trustworthy range: peak partial sum dwarfs the value
         with pytest.warns(AccuracyWarning):
             ml_series(-40.0, MlParams(alpha=0.75))
-
-
-class TestStretchedExp:
-    def test_t_zero(self):
-        assert ml_stretched_exp(2.0, 0.0, 0.75) == 1.0
-
-    def test_alpha_one(self):
-        assert ml_stretched_exp(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1), rel=1e-15)
-
-    def test_short_time_agreement_with_series(self):
-        # first-order agreement only: at lambda=2, t=0.01, alpha=0.75 the gap
-        # is 5.980e-4 (reference value), dominated by the quadratic term
-        diff = abs(ml_stretched_exp(2.0, 0.01, 0.75)
-                   - ml_series(-2.0 * 0.01 ** 0.75, MlParams(alpha=0.75)))
-        assert diff == pytest.approx(5.97999651e-4, rel=1e-6)
-        # and the gap closes to first order as t -> 0
-        diff_small = abs(ml_stretched_exp(2.0, 1e-4, 0.75)
-                         - ml_series(-2.0 * 1e-4 ** 0.75, MlParams(alpha=0.75)))
-        assert diff_small < 1e-5
-
-    def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            ml_stretched_exp(1.0, -0.5, 0.75)
 
 
 class TestAsymptotic:

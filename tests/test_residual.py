@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fracspec import (FitError, Trajectory, analyze, build_spectrum, cubic,
+from fracspec import (FitError, MlParams, Trajectory, analyze, build_spectrum, cubic,
                       cubic_long_coefficients, closed_form_integer,
-                      default_grid, eval_solution, fit_power_law, lhs_caputo,
+                      default_grid, eval_solution, eval_trajectory,
+                      fit_power_law, lhs_caputo,
                       logistic, rescale_residual, residual,
                       residual_long_asymptote, residual_short_asymptote,
                       residual_trajectory, rhs_nonlinear, riccati)
@@ -62,7 +63,7 @@ class TestLhsCaputo:
         # integral of the evaluated solution, no eigenvalue identity involved
         spec = riccati(0.75, 0.5)
         sol = build_spectrum(spec)
-        quad = caputo_quadrature(lambda tau: eval_solution(sol, tau), t, 0.75)
+        quad = caputo_quadrature(lambda tau: eval_trajectory(sol, tau).values, t, 0.75)
         assert abs(quad - lhs_caputo(sol, t)) < 1e-4
 
 
@@ -101,6 +102,35 @@ class TestResidualValues:
             assert traj == pytest.approx(spec.x0, abs=1e-14)
             for t in [1e-3, 1.0, 1e2]:
                 assert abs(residual(sol, t)) < 1e-14
+
+
+class TestOnePointPaths:
+    """The scalar entry points are one-point calls of the trajectory paths."""
+
+    @pytest.mark.parametrize("entry, t", [
+        (eval_solution, 1.0), (lhs_caputo, 1.0), (residual, 1.0),
+        (eval_trajectory, [0.5, 1.0]), (residual_trajectory, [0.5, 1.0])],
+        ids=["eval_solution", "lhs_caputo", "residual", "eval_trajectory",
+             "residual_trajectory"])
+    def test_mismatched_ml_order_rejected(self, entry, t):
+        sol = build_spectrum(riccati(0.75, 0.5))
+        with pytest.raises(ValueError, match="MlParams.alpha"):
+            entry(sol, t, MlParams(alpha=0.5))
+
+    @pytest.mark.parametrize("spec", [riccati(0.75, 0.5), riccati(0.75, 0.0),
+                                      logistic(0.9, 0.75, 1.0), cubic(0.5, 1.0)],
+                             ids=["riccati", "riccati-x0=0", "logistic", "cubic"])
+    def test_trajectory_accepts_t_zero(self, spec):
+        sol = build_spectrum(spec)
+        traj = residual_trajectory(sol, [0.0, 1.0])
+        assert traj.values[0] == residual(sol, 0.0)
+        assert traj.values[1] == residual(sol, 1.0)
+
+    def test_riccati_edge_t_zero_uses_x0(self):
+        # ratio -1: X(0) = x0 = 0, not the even-K sum -1, so Delta(0) =
+        # f(0) - sum_k c_k lambda_k = 1 - 200
+        sol = build_spectrum(riccati(0.75, 0.0))
+        assert residual_trajectory(sol, [0.0, 1.0]).values[0] == -199.0
 
 
 class TestShortAsymptote:
@@ -338,6 +368,13 @@ class TestAnalyze:
         assert report.max_abs_delta < 1e-12
         assert math.isnan(report.fitted_short_exponent)
         assert np.all(report.long_asymptote.values == 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.0])
+    def test_rejects_nonpositive_grid(self, alpha):
+        # the fit windows take log t; reject before any work is done
+        grid = np.linspace(0.0, 10.0, 50)
+        with pytest.raises(ValueError, match="positive"):
+            analyze(riccati(alpha, 0.5), grid=grid)
 
     def test_argmax_first_occurrence(self):
         grid = np.geomspace(1e-4, 1e3, 60)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from fracspec import (EquationKind, ProblemSpec, Trajectory, build_spectrum,
                       closed_form_integer, cubic, eval_solution,
-                      eval_trajectory, logistic, riccati,
-                      riccati_integer_series)
+                      eval_trajectory, logistic, riccati)
 
 
 class TestProblemSpec:
@@ -195,16 +194,6 @@ class TestClosedForms:
     def test_requires_integer_order(self):
         with pytest.raises(ValueError):
             closed_form_integer(riccati(0.75, 0.5), 1.0)
-
-    def test_riccati_series_route(self):
-        # exponential mode sum against the tanh-form closed expression
-        want = closed_form_integer(riccati(1.0, 0.5), 1.0)
-        got = riccati_integer_series(0.5, 100, 1.0)
-        assert got == pytest.approx(want, abs=1e-15)
-        assert riccati_integer_series(0.0, 100, 1.0) == pytest.approx(math.tanh(1.0), abs=1e-15)
-
-    def test_riccati_series_t0(self):
-        assert riccati_integer_series(0.5, 100, 0.0) == pytest.approx(0.5, abs=1e-14)
 
 
 class TestTrajectoryType:
