@@ -2,8 +2,9 @@
 
 Solves the Caputo initial-value problem d^a X = f(X), X(0) = x0 with the
 standard one-correction scheme with full memory (Diethelm, Ford & Freed,
-Nonlinear Dyn. 29, 2002).  Every solver runs one loop, ``_march``, which at
-step n combines the history f_0..f_n with per-step weights:
+Nonlinear Dyn. 29, 2002).  Every solver is the grid solver on its own grid
+(uniform, two-phase or arbitrary), which runs one loop, ``_march``; at step n
+it combines the history f_0..f_n with per-step weights:
 
     predictor  X^P_{n+1} = x0 + P sum_j w_pred[j] f_j
     corrector  X_{n+1}   = x0 + C [sum_j w_hist[j] f_j + w_self f(X^P_{n+1})]
@@ -178,15 +179,6 @@ def _lattice_weights(alpha: float, n_fine: int, ratio: int = 1, n_coarse: int = 
                scale)
 
 
-def _uniform_weights(alpha: float, n_steps: int):
-    """Per-step weights on t_n = n h in units of the common factors: the
-    one-piece lattice.  At step n (lag m = n - j) the predictor weight is
-    b_m, the corrector weight a_m for j >= 1 and n^(a+1) - (n-a)(n+1)^a at
-    j = 0; the predicted point carries weight 1.
-    """
-    return _lattice_weights(alpha, n_steps)
-
-
 def _lattice(times: np.ndarray):
     """(h, n_fine, ratio, n_coarse) when every node lies within a few ulps of
     h L with integer L stepping by 1 up to L = n_fine and by ``ratio`` after
@@ -248,15 +240,12 @@ def _march(spec: ProblemSpec, times: np.ndarray, weights, pred_factor: float,
 
 
 def abm_solve(spec: ProblemSpec, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the problem's rate equation on the uniform grid t_n = n h."""
-    alpha, h = spec.alpha, cfg.h
-    times = h * np.arange(cfg.n_steps + 1)
-    x = _march(spec, times, _uniform_weights(alpha, cfg.n_steps),
-               h ** alpha / math.gamma(alpha + 1.0),
-               h ** alpha / math.gamma(alpha + 2.0), cfg.corrector_iters)
-    info = {"h": h, "alpha": alpha, "corrector_iters": cfg.corrector_iters,
+    """Integrate the problem's rate equation on the uniform grid t_n = n h:
+    abm_solve_grid on that grid, which is the one-piece lattice."""
+    traj = abm_solve_grid(spec, cfg.h * np.arange(cfg.n_steps + 1), cfg.corrector_iters)
+    info = {"h": cfg.h, "alpha": spec.alpha, "corrector_iters": cfg.corrector_iters,
             "scheme": "abm-uniform"}
-    return Trajectory(times=times, values=x, meta="numerical", info=info)
+    return Trajectory(times=traj.times, values=traj.values, meta="numerical", info=info)
 
 
 def abm_solve_grid(spec: ProblemSpec, times, corrector_iters: int = 1) -> Trajectory:
@@ -265,8 +254,8 @@ def abm_solve_grid(spec: ProblemSpec, times, corrector_iters: int = 1) -> Trajec
     The memory integral is treated exactly on non-uniform grids.  A grid
     whose nodes lie on an integer lattice h L (a uniform run, optionally
     followed by a uniform run of an integer multiple of h, such as the
-    two-phase grid) takes its weights from kernel tables computed once, the
-    same as abm_solve's; any other grid rebuilds them every step.
+    uniform and two-phase grids) takes its weights from kernel tables
+    computed once; any other grid rebuilds them every step.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0:

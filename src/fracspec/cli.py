@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 usage or validation failure, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -241,20 +239,14 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = np.geomspace(args.t_min, args.t_max, args.points)
 
-    def run(item):
-        spec, name = item
-        report = analyze(spec, args.terms, grid)
-        report.to_csv(out_dir / name)
-        return name
-
-    workers = min(4, os.cpu_count() or 1)
     done, failure = [], None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for item, res in zip(combos, pool.map(_trap(run), combos)):
-            if isinstance(res, Exception):
-                failure = (item[1], res)
-                break
-            done.append(res)
+    for spec, name in combos:
+        try:
+            analyze(spec, args.terms, grid).to_csv(out_dir / name)
+        except Exception as exc:          # indexed, then re-raised below
+            failure = (name, exc)
+            break
+        done.append(name)
 
     index_lines = [f"{name} ok" for name in done]
     if failure is not None:
@@ -270,15 +262,6 @@ def cmd_sweep(args) -> int:
         raise failure[1]
     print(f"wrote {len(done) + len(overlay or [])} files to {out_dir}")
     return 0
-
-
-def _trap(fn):
-    def inner(item):
-        try:
-            return fn(item)
-        except Exception as exc:          # collected and re-raised by the driver
-            return exc
-    return inner
 
 
 def _rescaled_overlay(out_dir, alphas, x0s, lambdas, args) -> list[str]:

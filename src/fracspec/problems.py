@@ -39,7 +39,7 @@ __all__ = [
     "closed_form_integer",
 ]
 
-TRAJECTORY_KINDS = ("spectral", "closed-form", "numerical", "residual", "difference")
+TRAJECTORY_KINDS = ("spectral", "numerical", "residual", "difference")
 
 
 class EquationKind(str, Enum):
@@ -111,8 +111,8 @@ def cubic(alpha: float, x0: float, a: float = 1.0, b: float = 1.0) -> ProblemSpe
 class Trajectory:
     """Sampled curve: strictly increasing times, one value per time.
 
-    meta tags the provenance (spectral / closed-form / numerical / residual /
-    difference); info carries free-form run details (step sizes, grids).
+    meta tags the provenance (spectral / numerical / residual / difference);
+    info carries free-form run details (step sizes, grids).
     """
 
     times: np.ndarray
@@ -221,16 +221,12 @@ def build_spectrum(spec: ProblemSpec, terms: int = 100) -> SpectralSolution:
                             coeffs=coeffs, offset=offset)
 
 
-def mode_matrix(sol: SpectralSolution, times: np.ndarray,
-                ml: MlParams | None = None) -> np.ndarray:
-    """E_alpha(eigenvalues * t^alpha) on a grid; shape (len(times), terms)."""
-    if ml is None:
-        ml = MlParams(alpha=sol.spec.alpha)
-    elif ml.alpha != sol.spec.alpha:
-        raise ValueError("MlParams.alpha must match the problem order")
+def mode_matrix(sol: SpectralSolution, times: np.ndarray) -> np.ndarray:
+    """E_alpha(eigenvalues * t^alpha) on a grid; shape (len(times), terms).
+    Every argument is <= 0, where ml_eval reads only the order."""
     times = np.asarray(times, dtype=float)
     z = times[:, None] ** sol.spec.alpha * sol.eigenvalues[None, :]
-    return ml_eval(z.ravel(), ml).reshape(z.shape)
+    return ml_eval(z.ravel(), MlParams(alpha=sol.spec.alpha)).reshape(z.shape)
 
 
 def _mode_sums(modes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -240,8 +236,7 @@ def _mode_sums(modes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (modes * weights).sum(axis=1)
 
 
-def _expansion(sol: SpectralSolution, grid,
-               ml: MlParams | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _expansion(sol: SpectralSolution, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(grid, modes, X) on a validated grid of times >= 0, with the mode sums
     uncompensated: the residual's rounding error is set by the f(X) - LHS
     subtraction, not by the order of summation.  X(0) = x0 exactly: the
@@ -253,23 +248,23 @@ def _expansion(sol: SpectralSolution, grid,
         raise ValueError("grid must be a non-empty 1-d array of times")
     if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be non-negative and strictly increasing")
-    modes = mode_matrix(sol, grid, ml)
+    modes = mode_matrix(sol, grid)
     x = sol.offset + _mode_sums(modes, sol.coeffs)
     if grid[0] == 0:
         x[0] = sol.spec.x0
     return grid, modes, x
 
 
-def eval_trajectory(sol: SpectralSolution, grid, ml: MlParams | None = None) -> Trajectory:
+def eval_trajectory(sol: SpectralSolution, grid) -> Trajectory:
     """Expansion sampled over a strictly increasing grid of times >= 0; X(0) = x0."""
-    grid, _, x = _expansion(sol, grid, ml)
+    grid, _, x = _expansion(sol, grid)
     return Trajectory(times=grid, values=x, meta="spectral")
 
 
-def eval_solution(sol: SpectralSolution, t: float, ml: MlParams | None = None) -> float:
+def eval_solution(sol: SpectralSolution, t: float) -> float:
     """Value of the truncated expansion at a single time: a one-point
     eval_trajectory, so t = 0 returns x0 exactly."""
-    return float(eval_trajectory(sol, t, ml).values[0])
+    return float(eval_trajectory(sol, t).values[0])
 
 
 def closed_form_integer(spec: ProblemSpec, t):

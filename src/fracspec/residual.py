@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .mittag_leffler import MlParams
 from .problems import (EquationKind, ProblemSpec, SpectralSolution, Trajectory,
                        _expansion, _mode_sums, build_spectrum)
 
@@ -70,7 +69,7 @@ def rhs_nonlinear(spec: ProblemSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def lhs_caputo(sol: SpectralSolution, t: float, ml: MlParams | None = None) -> float:
+def lhs_caputo(sol: SpectralSolution, t: float) -> float:
     """Caputo derivative of the expansion, summed termwise at a single time.
 
     Each mode obeys d^a E_a(l t^a) = l E_a(l t^a), so the derivative is
@@ -78,22 +77,21 @@ def lhs_caputo(sol: SpectralSolution, t: float, ml: MlParams | None = None) -> f
     mode-sum limit sum_k c_k lambda_k (the k = 0 constant mode contributes
     nothing for any t).
     """
-    _, modes, _ = _expansion(sol, t, ml)
+    _, modes, _ = _expansion(sol, t)
     return float(_mode_sums(modes, sol.coeffs * sol.eigenvalues)[0])
 
 
-def residual(sol: SpectralSolution, t: float, ml: MlParams | None = None) -> float:
+def residual(sol: SpectralSolution, t: float) -> float:
     """Delta(t) = rhs_nonlinear(X(t)) - lhs_caputo(t) at a single time: a
     one-point residual_trajectory."""
-    return float(residual_trajectory(sol, t, ml).values[0])
+    return float(residual_trajectory(sol, t).values[0])
 
 
-def residual_trajectory(sol: SpectralSolution, grid,
-                        ml: MlParams | None = None) -> Trajectory:
+def residual_trajectory(sol: SpectralSolution, grid) -> Trajectory:
     """Delta sampled over a strictly increasing grid of times >= 0 (one mode
     matrix, reused for both sides).  At t = 0, X = x0 and the LHS is the
     mode-sum limit sum_k c_k lambda_k."""
-    grid, modes, x = _expansion(sol, grid, ml)
+    grid, modes, x = _expansion(sol, grid)
     delta = rhs_nonlinear(sol.spec, x) - _mode_sums(modes, sol.coeffs * sol.eigenvalues)
     return Trajectory(times=grid, values=delta, meta="residual")
 

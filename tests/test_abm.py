@@ -12,8 +12,8 @@ from fracspec import (DivergenceError, IntegratorConfig, MlParams, Trajectory,
                       build_spectrum, closed_form_integer, compare_solutions,
                       cubic, eval_trajectory, fit_power_law, logistic,
                       ml_eval, riccati, two_phase_grid)
-from fracspec.abm import (_grid_weights, _lattice, _lattice_kernels, _march,
-                          _uniform_weights)
+from fracspec.abm import (_grid_weights, _lattice, _lattice_kernels, _lattice_weights,
+                          _march)
 
 
 class TestConfig:
@@ -34,7 +34,7 @@ class TestConfig:
 def step_weights(alpha, n):
     """The uniform provider's (w_pred, w_hist, w_self) for the step n -> n+1,
     aligned with f_0..f_n, in units of h^a/Gamma(a+1) and h^a/Gamma(a+2)."""
-    return next(itertools.islice(_uniform_weights(alpha, n + 1), n, None))
+    return next(itertools.islice(_lattice_weights(alpha, n + 1), n, None))
 
 
 class TestWeights:
@@ -200,6 +200,18 @@ class TestGridSolver:
         uniform = abm_solve(spec, IntegratorConfig(t_max=0.5, h=1e-2))
         general = abm_solve_grid(spec, uniform.times)
         assert np.max(np.abs(uniform.values - general.values)) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_uniform_solver_is_grid_solver(self, alpha, iters):
+        spec = cubic(alpha, 1.0)
+        cfg = IntegratorConfig(t_max=2.0, h=1e-2, corrector_iters=iters)
+        uniform = abm_solve(spec, cfg)
+        general = abm_solve_grid(spec, cfg.h * np.arange(cfg.n_steps + 1), iters)
+        assert np.array_equal(uniform.times, general.times)
+        assert np.array_equal(uniform.values, general.values)
+        assert uniform.info == {"h": 1e-2, "alpha": alpha, "corrector_iters": iters,
+                                "scheme": "abm-uniform"}
 
     def test_rejects_bad_grids(self):
         spec = riccati(0.75, 0.5)

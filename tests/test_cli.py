@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fracspec.cli import main
+from fracspec.residual import FitError, analyze
 from fracspec.io import format_float, read_csv, write_csv
 
 
@@ -153,6 +154,28 @@ class TestSweep:
         assert len(index) == 4
         assert all(line.endswith(" ok") for line in index)
         assert (out / "riccati_0.9_0.25_na.csv").exists()
+
+    def test_failure_stops_the_sweep(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_second(spec, terms, grid):
+            calls.append(spec.x0)
+            if len(calls) == 2:
+                raise FitError("window too short")
+            return analyze(spec, terms, grid)
+
+        monkeypatch.setattr("fracspec.cli.analyze", failing_second)
+        out = tmp_path / "sw"
+        code = run("sweep", "--equation", "logistic", "--alpha", "0.75",
+                   "--x0", "0.6,0.7,0.8,0.9", "--points", "60",
+                   "--out-dir", str(out))
+        assert code == 2
+        assert (out / "sweep_index.txt").read_text().splitlines() == [
+            "logistic_0.75_0.6_1.csv ok",
+            "logistic_0.75_0.7_1.csv FAILED window too short"]
+        assert calls == [0.6, 0.7]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "logistic_0.75_0.6_1.csv", "sweep_index.txt"]
 
     def test_empty_list_is_usage_error(self, tmp_path):
         code = run("sweep", "--equation", "logistic", "--lambda", ",",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracspec import (FitError, MlParams, Trajectory, analyze, build_spectrum, cubic,
+from fracspec import (FitError, Trajectory, analyze, build_spectrum, cubic,
                       cubic_long_coefficients, closed_form_integer,
                       default_grid, eval_solution, eval_trajectory,
                       fit_power_law, lhs_caputo,
@@ -106,16 +106,6 @@ class TestResidualValues:
 
 class TestOnePointPaths:
     """The scalar entry points are one-point calls of the trajectory paths."""
-
-    @pytest.mark.parametrize("entry, t", [
-        (eval_solution, 1.0), (lhs_caputo, 1.0), (residual, 1.0),
-        (eval_trajectory, [0.5, 1.0]), (residual_trajectory, [0.5, 1.0])],
-        ids=["eval_solution", "lhs_caputo", "residual", "eval_trajectory",
-             "residual_trajectory"])
-    def test_mismatched_ml_order_rejected(self, entry, t):
-        sol = build_spectrum(riccati(0.75, 0.5))
-        with pytest.raises(ValueError, match="MlParams.alpha"):
-            entry(sol, t, MlParams(alpha=0.5))
 
     @pytest.mark.parametrize("spec", [riccati(0.75, 0.5), riccati(0.75, 0.0),
                                       logistic(0.9, 0.75, 1.0), cubic(0.5, 1.0)],
