@@ -9,17 +9,17 @@ it combines the history f_0..f_n with per-step weights:
     predictor  X^P_{n+1} = x0 + P sum_j w_pred[j] f_j
     corrector  X_{n+1}   = x0 + C [sum_j w_hist[j] f_j + w_self f(X^P_{n+1})]
 
-Both sums are BLAS dot products.  The weights come from one of two
-providers.  On a lattice grid t_j = h L_j, with integer L stepping by 1 and
-then optionally by an integer ratio R (the uniform grid, and the two-phase
-fine/coarse grid when h_coarse/h_fine and t_switch/h_fine are integers), the
-kernel sequences of the fine lattice are tabulated once, free of
-cancellation, and each step's weights are contiguous slices of them, the
-coarse ones scaled by R^a; P = h^a/Gamma(a+1) and C = h^a/Gamma(a+2).  On any
-other strictly increasing grid the product-rectangle / product-trapezoid
-weights are rebuilt each step from u_j = t_{n+1} - t_j, with
-P = C = 1/Gamma(a).  The two-phase grid keeps the whole fine history without
-resampling.  The history convolution makes the total work O(N^2).
+Both sums are BLAS dot products; the rest of a step is float arithmetic, f
+a Horner polynomial.  The weights come from one of two providers.  On a
+lattice grid t_j = h L_j, with integer L stepping by 1 and then optionally
+by an integer ratio R (the uniform grid, and the two-phase fine/coarse grid
+when h_coarse/h_fine and t_switch/h_fine are integers), the kernel sequences
+of the fine lattice are tabulated once, free of cancellation, and each
+step's weights are contiguous slices of them, the coarse ones scaled by R^a;
+P = h^a/Gamma(a+1) and C = h^a/Gamma(a+2).  On any other strictly
+increasing grid the product-rectangle / product-trapezoid weights are
+rebuilt each step from u_j = t_{n+1} - t_j, with P = C = 1/Gamma(a).  The
+history convolution makes the total work O(N^2).
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import numpy as np
 # Unused here; bench/tracing.py wraps ``fracspec.abm.exact_dot`` by name as a
 # traced layer, so the binding stays.
 from ._summation import exact_dot  # noqa: F401
-from .problems import ProblemSpec, Trajectory
-from .residual import rhs_nonlinear
+from .problems import ProblemSpec, Trajectory, _check_times, _horner, _rhs_coefficients
 
 __all__ = [
     "DivergenceError",
@@ -46,8 +45,8 @@ __all__ = [
 ]
 
 # Bound on N = round(t_max/h) for the uniform solver, which keeps the O(N^2)
-# history cost within about two minutes: a riccati solve took 0.16-0.28 s at
-# 1e4 steps and 129 s at 4e5 (2-core x86-64, Python 3.11, OpenBLAS ddot).
+# history cost within about two minutes: a riccati solve took 0.08-0.14 s at
+# 1e4 steps and 124 s at 4e5 (2-core x86-64, Python 3.11, OpenBLAS ddot).
 MAX_STEPS = 400_000
 
 
@@ -70,6 +69,8 @@ class IntegratorConfig:
     corrector_iters: int = 1
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_max) and math.isfinite(self.h)):
+            raise ValueError("t_max and h must be finite")
         if not (self.h > 0):
             raise ValueError("h must be positive")
         if self.t_max < self.h:
@@ -185,7 +186,7 @@ def _lattice(times: np.ndarray):
     it, else None.  Also None when the lattice spans more lags than the N^2
     powers a per-step rebuild evaluates, so that a first step much shorter
     than the rest cannot make the tables huge."""
-    h = times[1]
+    h = float(times[1])
     lat = np.rint(times / h)
     if lat[-1] > times.size ** 2:
         return None
@@ -212,7 +213,7 @@ def _grid_weights(times: np.ndarray, alpha: float):
         w = np.zeros(n + 2)
         w[:-1] += (d_a - u[1:] * d_b) / dt
         w[1:] += (u[:-1] * d_b - d_a) / dt
-        yield d_b, w[:-1], w[-1]
+        yield d_b, w[:-1], float(w[-1])
 
 
 def _march(spec: ProblemSpec, times: np.ndarray, weights, pred_factor: float,
@@ -220,22 +221,24 @@ def _march(spec: ProblemSpec, times: np.ndarray, weights, pred_factor: float,
     """P(EC)^m E over ``times`` with weights (w_pred, w_hist, w_self) per
     step, w_pred and w_hist aligned with f_0..f_n.  History sums are plain
     BLAS dot products: the weights carry a few ulps each, and a compensated
-    sum changes the trajectory by less than that.  Raises DivergenceError
-    with the offending step index if the state leaves the finite range."""
+    sum changes the trajectory by less than that.  The rest is Python float
+    arithmetic, f by Horner's rule, so overflow gives inf or nan without a
+    warning; DivergenceError reports the first step whose state is not finite."""
+    p = _rhs_coefficients(spec)
     x = np.empty(times.size)
     f = np.empty(times.size)
-    x[0] = spec.x0
-    f[0] = rhs_nonlinear(spec, spec.x0)
+    x[0] = x0 = float(spec.x0)
+    f[0] = _horner(p, x0)
     for n, (w_pred, w_hist, w_self) in enumerate(weights):
-        xp = spec.x0 + pred_factor * np.dot(w_pred, f[:n + 1])
-        hist = np.dot(w_hist, f[:n + 1])
+        xp = x0 + pred_factor * float(np.dot(w_pred, f[:n + 1]))
+        hist = float(np.dot(w_hist, f[:n + 1]))
         xc = xp
         for _ in range(corrector_iters):
-            xc = spec.x0 + corr_factor * (hist + w_self * rhs_nonlinear(spec, xc))
+            xc = x0 + corr_factor * (hist + w_self * _horner(p, xc))
         if not math.isfinite(xc):
             raise DivergenceError(n + 1, times[n + 1])
         x[n + 1] = xc
-        f[n + 1] = rhs_nonlinear(spec, xc)
+        f[n + 1] = _horner(p, xc)
     return x
 
 
@@ -260,8 +263,7 @@ def abm_solve_grid(spec: ProblemSpec, times, corrector_iters: int = 1) -> Trajec
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
         raise ValueError("times must start at 0 and contain at least two nodes")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
+    _check_times(times, "times")
     alpha = spec.alpha
     lattice = _lattice(times)
     if lattice is None:
@@ -281,10 +283,14 @@ def abm_solve_grid(spec: ProblemSpec, times, corrector_iters: int = 1) -> Trajec
 def two_phase_grid(h_fine: float = 1e-3, t_switch: float = 10.0,
                    h_coarse: float = 0.1, t_max: float = 1e3) -> np.ndarray:
     """Uniform fine grid to t_switch, then uniform coarse grid to t_max."""
+    if not all(map(math.isfinite, (h_fine, t_switch, h_coarse, t_max))):
+        raise ValueError("two-phase grid arguments must be finite")
     if not (0 < h_fine <= h_coarse and 0 < t_switch < t_max):
         raise ValueError("need 0 < h_fine <= h_coarse and 0 < t_switch < t_max")
     n1 = int(round(t_switch / h_fine))
     n2 = int(round((t_max - t_switch) / h_coarse))
+    if n1 < 1 or n2 < 1:
+        raise ValueError("each phase must take at least one step")
     fine = h_fine * np.arange(n1 + 1)
     coarse = t_switch + h_coarse * np.arange(1, n2 + 1)
     return np.concatenate([fine, coarse])

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .abm import DivergenceError, IntegratorConfig, abm_solve, abm_solve_two_phase
+from .abm import (DivergenceError, IntegratorConfig, abm_solve, abm_solve_two_phase,
+                  compare_solutions)
 from .io import format_float, write_csv, write_sidecar
 # Unused here; bench/tracing.py wraps this name on this module as a traced layer.
 from .mittag_leffler import ml_eval  # noqa: F401
@@ -179,12 +180,9 @@ def _integrate(args):
 
 
 def _sidecar_entries(spec: ProblemSpec, traj) -> dict:
-    entries = {"kind": spec.kind.value, "alpha": spec.alpha, "x0": spec.x0}
-    if spec.kind is EquationKind.LOGISTIC:
-        entries["lambda"] = spec.lambda_
-    if spec.kind is EquationKind.CUBIC:
-        entries["a"] = spec.a
-        entries["b"] = spec.b
+    entries = {name.rstrip("_"): value for name, value in vars(spec).items()
+               if value is not None}
+    entries["kind"] = spec.kind.value
     entries.update(traj.info or {})
     return entries
 
@@ -202,7 +200,7 @@ def cmd_compare(args) -> int:
     spec, num = _integrate(args)
     sol = build_spectrum(spec, args.terms)
     sp = eval_trajectory(sol, num.times)
-    delta = num.values - sp.values
+    delta = compare_solutions(num, sp).values
     out = args.out or f"{spec.kind.value}_compare.csv"
     write_csv(out, ["t", "x_num", "x_spectral", "delta"],
               [num.times, num.values, sp.values, delta])

@@ -85,7 +85,7 @@ class ProblemSpec:
         else:
             if self.a is None or not self.a > 0:
                 raise ValueError("cubic requires a > 0")
-            if self.b is None or self.b < 0:
+            if self.b is None or not self.b >= 0:
                 raise ValueError("cubic requires b >= 0")
             self._reject("lambda_")
 
@@ -107,6 +107,15 @@ def cubic(alpha: float, x0: float, a: float = 1.0, b: float = 1.0) -> ProblemSpe
     return ProblemSpec(kind=EquationKind.CUBIC, alpha=alpha, x0=x0, a=a, b=b)
 
 
+def _check_times(times: np.ndarray, name: str) -> None:
+    """Raise ValueError unless the 1-d ``times`` are finite, non-negative and
+    strictly increasing.  Finiteness is tested first: NaN passes every
+    comparison, and inf - inf warns."""
+    if not (np.isfinite(times).all() and (times[:1] >= 0).all()
+            and (np.diff(times) > 0).all()):
+        raise ValueError(f"{name} must be finite, non-negative and strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled curve: strictly increasing times, one value per time.
@@ -125,8 +134,7 @@ class Trajectory:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size and (np.any(np.diff(times) <= 0) or times[0] < 0):
-            raise ValueError("times must be non-negative and strictly increasing")
+        _check_times(times, "times")
         if not np.isfinite(values).all():
             raise ValueError("trajectory values must be finite")
         if self.meta not in TRAJECTORY_KINDS:
@@ -182,6 +190,24 @@ class SpectralSolution:
         if ratio >= 1.0:
             return math.inf
         return amplitude * ratio ** K / (1.0 - ratio)
+
+
+def _rhs_coefficients(spec: ProblemSpec) -> tuple[float, ...]:
+    """f(x) = sum_i p_i x^i: the right-hand side as polynomial coefficients."""
+    if spec.kind is EquationKind.RICCATI:
+        return (1.0, 0.0, -1.0)
+    if spec.kind is EquationKind.LOGISTIC:
+        rate = spec.lambda_ ** spec.alpha
+        return (0.0, rate, -rate)
+    return (0.0, -spec.a, 0.0, -spec.b)
+
+
+def _horner(p: tuple[float, ...], x):
+    """sum_i p_i x^i by Horner's rule, on a float or elementwise on an array."""
+    out = p[-1]
+    for coef in p[-2::-1]:
+        out = out * x + coef
+    return out
 
 
 def build_spectrum(spec: ProblemSpec, terms: int = 100) -> SpectralSolution:
@@ -246,8 +272,7 @@ def _expansion(sol: SpectralSolution, grid) -> tuple[np.ndarray, np.ndarray, np.
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d array of times")
-    if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be non-negative and strictly increasing")
+    _check_times(grid, "grid")
     modes = mode_matrix(sol, grid)
     x = sol.offset + _mode_sums(modes, sol.coeffs)
     if grid[0] == 0:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .problems import (EquationKind, ProblemSpec, SpectralSolution, Trajectory,
-                       _expansion, _mode_sums, build_spectrum)
+                       _expansion, _horner, _mode_sums, _rhs_coefficients, build_spectrum)
 
 # Unused here; bench/tracing.py wraps these names on this module as traced layers.
 from ._summation import exact_dot, neumaier_dot_rows  # noqa: F401
@@ -53,19 +53,11 @@ def default_grid(lo: float = 1e-4, hi: float = 1e3, n: int = 400) -> np.ndarray:
 
 
 def rhs_nonlinear(spec: ProblemSpec, x):
-    """Right-hand side f(x) of the rate equation (vectorised in x).
-
-    Overflow is allowed to propagate as inf: the integrator uses the finite
-    check on the state itself to diagnose divergence.
-    """
+    """Right-hand side f(x) of the rate equation by Horner's rule, vectorised
+    in x; overflow gives +-inf without a warning."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind is EquationKind.RICCATI:
-            out = 1.0 - x * x
-        elif spec.kind is EquationKind.LOGISTIC:
-            out = spec.lambda_ ** spec.alpha * x * (1.0 - x)
-        else:
-            out = -spec.a * x - spec.b * x ** 3
+        out = _horner(_rhs_coefficients(spec), x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -102,16 +94,6 @@ _MODELS = ("derived", "paper")
 def _check_model(model: str) -> None:
     if model not in _MODELS:
         raise ValueError(f"model must be one of {_MODELS}, got {model!r}")
-
-
-def _rhs_coefficients(spec: ProblemSpec) -> tuple[float, ...]:
-    """f(x) = sum_i p_i x^i: the right-hand side as polynomial coefficients."""
-    if spec.kind is EquationKind.RICCATI:
-        return (1.0, 0.0, -1.0)
-    if spec.kind is EquationKind.LOGISTIC:
-        rate = spec.lambda_ ** spec.alpha
-        return (0.0, rate, -rate)
-    return (0.0, -spec.a, 0.0, -spec.b)
 
 
 def _compose(p: tuple[float, ...], x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -26,6 +27,9 @@ class TestConfig:
             IntegratorConfig(t_max=1.0, corrector_iters=0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=1e4, h=1e-3)     # 1e7 steps > MAX_STEPS
+        for t_max, h in [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.inf)]:
+            with pytest.raises(ValueError):
+                IntegratorConfig(t_max=t_max, h=h)
 
     def test_n_steps(self):
         assert IntegratorConfig(t_max=10.0, h=1e-3).n_steps == 10_000
@@ -187,10 +191,17 @@ class TestSolve:
                           IntegratorConfig(t_max=2.0, h=1e-3, corrector_iters=3))
         assert np.max(np.abs(one.values - three.values)) < 1e-6
 
-    def test_divergence_reports_step(self):
+    @pytest.mark.parametrize("solve", [
+        lambda spec: abm_solve(spec, IntegratorConfig(t_max=1.0, h=0.1)),
+        # off the lattice of its first step: weights rebuilt every step
+        lambda spec: abm_solve_grid(spec, np.linspace(0.0, 1.0, 11) ** 1.5),
+    ], ids=["uniform", "off-lattice"])
+    def test_divergence_reports_step(self, solve):
         spec = cubic(0.9, 1.0, a=1.0, b=1e9)
-        with pytest.raises(DivergenceError) as err:
-            abm_solve(spec, IntegratorConfig(t_max=1.0, h=0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                solve(spec)
         assert err.value.step >= 1
 
 
@@ -219,6 +230,9 @@ class TestGridSolver:
             abm_solve_grid(spec, [0.5, 1.0])
         with pytest.raises(ValueError):
             abm_solve_grid(spec, [0.0, 1.0, 1.0])
+        for bad in ([0.0, 1.0, math.inf], [0.0, math.nan, 2.0]):
+            with pytest.raises(ValueError):
+                abm_solve_grid(spec, bad)
 
     def test_two_phase_grid_layout(self):
         grid = two_phase_grid(h_fine=1e-2, t_switch=1.0, h_coarse=0.1, t_max=2.0)
@@ -227,6 +241,13 @@ class TestGridSolver:
         steps = np.diff(grid)
         assert steps[:100] == pytest.approx(1e-2)
         assert steps[100:] == pytest.approx(0.1)
+
+    def test_two_phase_grid_rejects_empty_or_infinite_phases(self):
+        # round((10 - 5)/100) = 0: no coarse step, the grid would stop at 5
+        for args in [(1e-2, 5.0, 100.0, 10.0), (1e-2, 5.0, math.inf, 10.0),
+                     (1e-2, 5.0, 0.5, math.inf), (1.0, 0.4, 1.0, 10.0)]:
+            with pytest.raises(ValueError):
+                two_phase_grid(*args)
 
     def test_two_phase_continues_fine_solution(self):
         spec = cubic(0.75, 1.0)

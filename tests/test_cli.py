@@ -196,6 +196,18 @@ class TestValidationAndExitCodes:
     def test_unknown_flag(self):
         assert run("solve", "--equation", "riccati", "--frobnicate", "1") == 1
 
+    @pytest.mark.parametrize("argv", [
+        # round((10 - 5)/100) = 0 coarse steps: the output would stop at t = 5
+        ("integrate", "--t-max", "10", "--t-switch", "5", "--h-coarse", "100"),
+        ("integrate", "--t-max", "10", "--t-switch", "5", "--h-coarse", "inf"),
+        ("integrate", "--t-max", "inf"),
+        ("compare", "--t-max", "inf"),
+    ])
+    def test_degenerate_integrator_inputs(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--equation", "riccati", "--out", str(out)) == 1
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         code = run("integrate", "--equation", "cubic", "--alpha", "0.9",
                    "--x0", "1", "--b", "1e9", "--h", "0.1", "--t-max", "2",

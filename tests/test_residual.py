@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ class TestRhs:
     def test_logistic_rate_power(self):
         spec = logistic(0.5, 0.75, 4.0)
         assert rhs_nonlinear(spec, 0.5) == pytest.approx(4.0 ** 0.5 * 0.25, rel=1e-15)
+
+    def test_overflow_is_inf_without_warning(self):
+        spec = cubic(0.75, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = rhs_nonlinear(spec, 1e200)
+            array = rhs_nonlinear(spec, np.array([1e200, 1e200]))
+        assert isinstance(scalar, float) and scalar == -math.inf
+        assert np.all(array == -math.inf)
 
 
 class TestLhsCaputo:

@@ -33,6 +33,8 @@ class TestProblemSpec:
             ProblemSpec(kind="cubic", alpha=0.75, x0=1.0, a=0.0, b=1.0)
         with pytest.raises(ValueError):
             ProblemSpec(kind="cubic", alpha=0.75, x0=1.0, a=1.0, b=-0.5)
+        with pytest.raises(ValueError):
+            ProblemSpec(kind="cubic", alpha=0.75, x0=1.0, a=1.0, b=math.nan)
         cubic(0.75, 1.0, a=2.0, b=0.0)   # b = 0 (linear limit) is allowed
 
     def test_alpha_range(self):
@@ -206,6 +208,9 @@ class TestTrajectoryType:
             Trajectory(times=[0.0, 1.0], values=[0.0, math.nan], meta="spectral")
         with pytest.raises(ValueError):
             Trajectory(times=[0.0, 1.0], values=[0.0, 1.0], meta="bogus")
+        for times in ([0.0, math.nan], [math.nan, 1.0], [0.0, math.inf]):
+            with pytest.raises(ValueError):
+                Trajectory(times=times, values=[0.0, 0.0], meta="spectral")
 
     def test_values_are_frozen(self):
         traj = Trajectory(times=[0.0, 1.0], values=[0.0, 1.0], meta="numerical")
