@@ -28,8 +28,7 @@ print("\nidentities:")
 print(f"   E_1(-2)   = {ml_eval(-2.0, MlParams(alpha=1.0)):.15f}"
       f"  (exp(-2) = {math.exp(-2):.15f})")
 half = ml_eval(-3.0, MlParams(alpha=0.5))
-from scipy.special import erfcx
-print(f"   E_1/2(-3) = {half:.15f}  (e^9 erfc(3) = {erfcx(3.0):.15f})")
+print(f"   E_1/2(-3) = {half:.15f}  (e^9 erfc(3) = {math.exp(9.0) * math.erfc(3.0):.15f})")
 
 print("\nold seams, one argument each (contour | standalone routine):")
 cutoff = p.series_neg_cutoff

@@ -61,12 +61,11 @@ class DivergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size, horizon and corrector iteration count; the order is the
-    problem's own.  N = round(t_max/h) may not exceed MAX_STEPS."""
+    """Step size and horizon; the order is the problem's own, and each step
+    corrects once.  N = round(t_max/h) may not exceed MAX_STEPS."""
 
     t_max: float
     h: float = 1e-3
-    corrector_iters: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.t_max) and math.isfinite(self.h)):
@@ -75,8 +74,6 @@ class IntegratorConfig:
             raise ValueError("h must be positive")
         if self.t_max < self.h:
             raise ValueError("t_max must be at least one step")
-        if self.corrector_iters < 1:
-            raise ValueError("corrector_iters must be >= 1")
         if self.n_steps > MAX_STEPS:
             raise ValueError(f"{self.n_steps} steps exceed MAX_STEPS={MAX_STEPS}")
 
@@ -217,13 +214,14 @@ def _grid_weights(times: np.ndarray, alpha: float):
 
 
 def _march(spec: ProblemSpec, times: np.ndarray, weights, pred_factor: float,
-           corr_factor: float, corrector_iters: int) -> np.ndarray:
-    """P(EC)^m E over ``times`` with weights (w_pred, w_hist, w_self) per
-    step, w_pred and w_hist aligned with f_0..f_n.  History sums are plain
-    BLAS dot products: the weights carry a few ulps each, and a compensated
-    sum changes the trajectory by less than that.  The rest is Python float
-    arithmetic, f by Horner's rule, so overflow gives inf or nan without a
-    warning; DivergenceError reports the first step whose state is not finite."""
+           corr_factor: float) -> np.ndarray:
+    """PECE (predict, evaluate, correct once, evaluate) over ``times`` with
+    weights (w_pred, w_hist, w_self) per step, w_pred and w_hist aligned with
+    f_0..f_n.  History sums are plain BLAS dot products: the weights carry a
+    few ulps each, and a compensated sum changes the trajectory by less than
+    that.  The rest is Python float arithmetic, f by Horner's rule, so
+    overflow gives inf or nan without a warning; DivergenceError reports the
+    first step whose state is not finite."""
     p = _rhs_coefficients(spec)
     x = np.empty(times.size)
     f = np.empty(times.size)
@@ -231,10 +229,7 @@ def _march(spec: ProblemSpec, times: np.ndarray, weights, pred_factor: float,
     f[0] = _horner(p, x0)
     for n, (w_pred, w_hist, w_self) in enumerate(weights):
         xp = x0 + pred_factor * float(np.dot(w_pred, f[:n + 1]))
-        hist = float(np.dot(w_hist, f[:n + 1]))
-        xc = xp
-        for _ in range(corrector_iters):
-            xc = x0 + corr_factor * (hist + w_self * _horner(p, xc))
+        xc = x0 + corr_factor * (float(np.dot(w_hist, f[:n + 1])) + w_self * _horner(p, xp))
         if not math.isfinite(xc):
             raise DivergenceError(n + 1, times[n + 1])
         x[n + 1] = xc
@@ -245,14 +240,14 @@ def _march(spec: ProblemSpec, times: np.ndarray, weights, pred_factor: float,
 def abm_solve(spec: ProblemSpec, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the problem's rate equation on the uniform grid t_n = n h:
     abm_solve_grid on that grid, which is the one-piece lattice."""
-    traj = abm_solve_grid(spec, cfg.h * np.arange(cfg.n_steps + 1), cfg.corrector_iters)
-    info = {"h": cfg.h, "alpha": spec.alpha, "corrector_iters": cfg.corrector_iters,
-            "scheme": "abm-uniform"}
+    traj = abm_solve_grid(spec, cfg.h * np.arange(cfg.n_steps + 1))
+    info = {"h": cfg.h, "alpha": spec.alpha, "scheme": "abm-uniform"}
     return Trajectory(times=traj.times, values=traj.values, meta="numerical", info=info)
 
 
-def abm_solve_grid(spec: ProblemSpec, times, corrector_iters: int = 1) -> Trajectory:
-    """Predictor-corrector on an arbitrary strictly increasing grid.
+def abm_solve_grid(spec: ProblemSpec, times) -> Trajectory:
+    """Predictor-corrector, one correction per step, on an arbitrary strictly
+    increasing grid.
 
     The memory integral is treated exactly on non-uniform grids.  A grid
     whose nodes lie on an integer lattice h L (a uniform run, optionally
@@ -274,9 +269,8 @@ def abm_solve_grid(spec: ProblemSpec, times, corrector_iters: int = 1) -> Trajec
         weights = _lattice_weights(alpha, *pieces)
         pred_factor = h ** alpha / math.gamma(alpha + 1.0)
         corr_factor = h ** alpha / math.gamma(alpha + 2.0)
-    x = _march(spec, times, weights, pred_factor, corr_factor, corrector_iters)
-    info = {"alpha": alpha, "corrector_iters": corrector_iters,
-            "scheme": "abm-grid"}
+    x = _march(spec, times, weights, pred_factor, corr_factor)
+    info = {"alpha": alpha, "scheme": "abm-grid"}
     return Trajectory(times=times, values=x, meta="numerical", info=info)
 
 
@@ -298,14 +292,14 @@ def two_phase_grid(h_fine: float = 1e-3, t_switch: float = 10.0,
 
 def abm_solve_two_phase(spec: ProblemSpec, h_fine: float = 1e-3,
                         t_switch: float = 10.0, h_coarse: float = 0.1,
-                        t_max: float = 1e3, corrector_iters: int = 1) -> Trajectory:
+                        t_max: float = 1e3) -> Trajectory:
     """Long-horizon integration on the documented fine/coarse two-phase grid.
 
     Full memory is kept across the phase switch (no history resampling), so
     the late-time tail is not contaminated by re-interpolation error.
     """
     grid = two_phase_grid(h_fine, t_switch, h_coarse, t_max)
-    traj = abm_solve_grid(spec, grid, corrector_iters)
+    traj = abm_solve_grid(spec, grid)
     info = dict(traj.info or {})
     info.update({"scheme": "abm-two-phase", "h_fine": h_fine,
                  "t_switch": t_switch, "h_coarse": h_coarse})

@@ -80,7 +80,6 @@ def build_parser() -> _Parser:
     _spec_args(p)
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--corrector-iters", type=int, default=1)
     p.add_argument("--t-switch", type=float, default=None,
                    help="enable the two-phase grid: switch time to --h-coarse")
     p.add_argument("--h-coarse", type=float, default=0.1)
@@ -90,7 +89,6 @@ def build_parser() -> _Parser:
     _spec_args(p)
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--corrector-iters", type=int, default=1)
     p.add_argument("--t-switch", type=float, default=None)
     p.add_argument("--h-coarse", type=float, default=0.1)
     p.add_argument("--out", default=None)
@@ -170,12 +168,9 @@ def _integrate(args):
     spec = _make_spec(args.equation, args.alpha, args.x0, args.lambda_, args.a, args.b)
     if args.t_switch is not None:
         traj = abm_solve_two_phase(spec, h_fine=args.h, t_switch=args.t_switch,
-                                   h_coarse=args.h_coarse, t_max=args.t_max,
-                                   corrector_iters=args.corrector_iters)
+                                   h_coarse=args.h_coarse, t_max=args.t_max)
     else:
-        cfg = IntegratorConfig(t_max=args.t_max, h=args.h,
-                               corrector_iters=args.corrector_iters)
-        traj = abm_solve(spec, cfg)
+        traj = abm_solve(spec, IntegratorConfig(t_max=args.t_max, h=args.h))
     return spec, traj
 
 

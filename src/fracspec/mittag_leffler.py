@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, rgamma
 
 __all__ = [
     "AccuracyWarning",
@@ -60,9 +59,9 @@ class AccuracyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class MlParams:
-    """Evaluation parameters for E_alpha.
+    """The order alpha of E_alpha, in (0, 1], and the fixed evaluation
+    constants, which are class attributes rather than fields:
 
-    alpha            : order, in (0, 1]
     series_tol       : absolute truncation tolerance of the power series
     series_max_terms : hard cap on the number of series terms
     asymptote_switch : |z| from which ``ml_asymptotic`` serves (z < 0)
@@ -74,19 +73,13 @@ class MlParams:
     """
 
     alpha: float
-    series_tol: float = 1e-15
-    series_max_terms: int = 500
-    asymptote_switch: float = 50.0
+    series_tol = 1e-15
+    series_max_terms = 500
+    asymptote_switch = 50.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.series_tol > 0.0):
-            raise ValueError("series_tol must be positive")
-        if self.series_max_terms < 1:
-            raise ValueError("series_max_terms must be >= 1")
-        if not (self.asymptote_switch > 0.0):
-            raise ValueError("asymptote_switch must be positive")
 
     @property
     def series_neg_cutoff(self) -> float:
@@ -95,11 +88,11 @@ class MlParams:
 
 
 @lru_cache(maxsize=64)
-def _series_ratios(alpha: float, max_terms: int) -> np.ndarray:
+def _series_ratios(alpha: float) -> np.ndarray:
     # term_{k+1} = term_k * z * ratios[k]; Gamma ratios via log-Gamma so the
     # recurrence never overflows even at k = 500, alpha = 1.
-    k = np.arange(max_terms + 1, dtype=float)
-    lg = gammaln(k * alpha + 1.0)
+    lg = np.array([math.lgamma(k * alpha + 1.0)
+                   for k in range(MlParams.series_max_terms + 1)])
     ratios = np.exp(lg[:-1] - lg[1:])
     ratios.setflags(write=False)
     return ratios
@@ -107,7 +100,7 @@ def _series_ratios(alpha: float, max_terms: int) -> np.ndarray:
 
 def _series_core(z: np.ndarray, p: MlParams):
     """Vectorised series sum.  Returns (value, hit_cap_mask, cancel_mask)."""
-    ratios = _series_ratios(p.alpha, p.series_max_terms)
+    ratios = _series_ratios(p.alpha)
     total = np.zeros_like(z)
     comp = np.zeros_like(z)
     peak = np.zeros_like(z)
@@ -156,7 +149,7 @@ def _integral_core(x: np.ndarray, alpha: float) -> np.ndarray:
     """E_alpha(-x), x >= 0, 0 < alpha < 1: the contour form, one node at a
     time over blocks of points."""
     table = _contour_nodes(alpha)
-    tail = float(rgamma(1.0 - alpha))
+    tail = 1.0 / math.gamma(1.0 - alpha)
     out = np.empty_like(x)
     for lo in range(0, x.size, _BLOCK):
         y = 1.0 / (1.0 + x[lo:lo + _BLOCK])
@@ -177,9 +170,19 @@ def _integral_core(x: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), 0 at the poles x = 0, -1, -2, ... and +-inf where Gamma
+    underflows (x below about -180), as scipy.special.rgamma."""
+    if x <= 0.0 and x.is_integer():
+        return 0.0
+    g = math.gamma(x)
+    return 1.0 / g if g else math.copysign(math.inf, g)
+
+
 def _asym_core(x: np.ndarray, alpha: float, n_terms: int) -> np.ndarray:
     k = np.arange(1, n_terms + 1, dtype=float)
-    coef = ((-1.0) ** (k + 1)) * rgamma(1.0 - k * alpha)
+    coef = np.array([(-1.0) ** (j + 1) * _rgamma(1.0 - j * alpha)
+                     for j in range(1, n_terms + 1)])
     # powers summed from the smallest term up
     pows = x[:, None] ** (-k[None, :])
     return (pows * coef[None, :])[:, ::-1].sum(axis=1)

@@ -75,18 +75,18 @@ class ProblemSpec:
                 raise ValueError("riccati requires x0 >= 0")
             self._reject("lambda_", "a", "b")
         elif self.kind is EquationKind.LOGISTIC:
-            if self.lambda_ is None or not self.lambda_ > 0:
-                raise ValueError("logistic requires a growth rate lambda_ > 0")
+            if self.lambda_ is None or not 0 < self.lambda_ < math.inf:
+                raise ValueError("logistic requires a finite growth rate lambda_ > 0")
             if not (0.5 < self.x0 <= 1.0):
                 raise ValueError(
                     "logistic requires 1/2 < x0 <= 1 (mode ratio |x0-1|/x0 "
                     "must stay below 1 for the expansion to converge)")
             self._reject("a", "b")
         else:
-            if self.a is None or not self.a > 0:
-                raise ValueError("cubic requires a > 0")
-            if self.b is None or not self.b >= 0:
-                raise ValueError("cubic requires b >= 0")
+            if self.a is None or not 0 < self.a < math.inf:
+                raise ValueError("cubic requires a finite a > 0")
+            if self.b is None or not 0 <= self.b < math.inf:
+                raise ValueError("cubic requires a finite b >= 0")
             self._reject("lambda_")
 
     def _reject(self, *names):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .problems import (EquationKind, ProblemSpec, SpectralSolution, Trajectory,
                        _expansion, _horner, _mode_sums, _rhs_coefficients, build_spectrum)
@@ -178,7 +177,7 @@ def _cubic_long_fit(alpha: float, x0: float, a: float, b: float,
     delta = residual_trajectory(sol, grid).values
     if not np.any(delta):
         return 0.0, 0.0, 0.0    # fixed point x0 = 0: the residual vanishes
-    u = grid ** (-alpha) / _gamma(1.0 - alpha)
+    u = grid ** (-alpha) / math.gamma(1.0 - alpha)
     design = np.stack([u, u ** 2, u ** 3], axis=1)
     # relative least squares so the decade span does not drown the tail
     w = 1.0 / np.abs(delta)
@@ -222,7 +221,7 @@ def residual_long_asymptote(spec: ProblemSpec, t, terms: int = 100,
         raise ValueError("tail model requires alpha < 1 (Gamma(1-alpha) pole)")
     tt = np.asarray(t, dtype=float)
     a = spec.alpha
-    u = tt ** (-a) / _gamma(1.0 - a)
+    u = tt ** (-a) / math.gamma(1.0 - a)
     if spec.kind is EquationKind.RICCATI:
         if model == "paper":
             big_l = math.log((spec.x0 + 1.0) / 2.0)

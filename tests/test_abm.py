@@ -24,8 +24,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=1e-4, h=1e-3)
         with pytest.raises(ValueError):
-            IntegratorConfig(t_max=1.0, corrector_iters=0)
-        with pytest.raises(ValueError):
             IntegratorConfig(t_max=1e4, h=1e-3)     # 1e7 steps > MAX_STEPS
         for t_max, h in [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.inf)]:
             with pytest.raises(ValueError):
@@ -104,7 +102,7 @@ class TestKernelTables:
 def _rebuilt(spec, grid):
     """The per-step weight rebuild on the same grid, as the lattice reference."""
     inv_gamma = 1.0 / math.gamma(spec.alpha)
-    return _march(spec, grid, _grid_weights(grid, spec.alpha), inv_gamma, inv_gamma, 1)
+    return _march(spec, grid, _grid_weights(grid, spec.alpha), inv_gamma, inv_gamma)
 
 
 class TestLatticeTables:
@@ -184,13 +182,6 @@ class TestSolve:
         b = abm_solve(cubic(0.9, 1.0), cfg)
         assert np.array_equal(a.values, b.values)
 
-    def test_extra_corrector_iterations_barely_move_result(self):
-        one = abm_solve(riccati(0.75, 0.5),
-                        IntegratorConfig(t_max=2.0, h=1e-3, corrector_iters=1))
-        three = abm_solve(riccati(0.75, 0.5),
-                          IntegratorConfig(t_max=2.0, h=1e-3, corrector_iters=3))
-        assert np.max(np.abs(one.values - three.values)) < 1e-6
-
     @pytest.mark.parametrize("solve", [
         lambda spec: abm_solve(spec, IntegratorConfig(t_max=1.0, h=0.1)),
         # off the lattice of its first step: weights rebuilt every step
@@ -213,16 +204,14 @@ class TestGridSolver:
         assert np.max(np.abs(uniform.values - general.values)) < 1e-13
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9])
-    @pytest.mark.parametrize("iters", [1, 3])
-    def test_uniform_solver_is_grid_solver(self, alpha, iters):
+    def test_uniform_solver_is_grid_solver(self, alpha):
         spec = cubic(alpha, 1.0)
-        cfg = IntegratorConfig(t_max=2.0, h=1e-2, corrector_iters=iters)
+        cfg = IntegratorConfig(t_max=2.0, h=1e-2)
         uniform = abm_solve(spec, cfg)
-        general = abm_solve_grid(spec, cfg.h * np.arange(cfg.n_steps + 1), iters)
+        general = abm_solve_grid(spec, cfg.h * np.arange(cfg.n_steps + 1))
         assert np.array_equal(uniform.times, general.times)
         assert np.array_equal(uniform.values, general.values)
-        assert uniform.info == {"h": 1e-2, "alpha": alpha, "corrector_iters": iters,
-                                "scheme": "abm-uniform"}
+        assert uniform.info == {"h": 1e-2, "alpha": alpha, "scheme": "abm-uniform"}
 
     def test_rejects_bad_grids(self):
         spec = riccati(0.75, 0.5)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracspec
 from fracspec.cli import main
 from fracspec.residual import FitError, analyze
 from fracspec.io import format_float, read_csv, write_csv
@@ -195,6 +201,11 @@ class TestValidationAndExitCodes:
 
     def test_unknown_flag(self):
         assert run("solve", "--equation", "riccati", "--frobnicate", "1") == 1
+        # the corrector makes one pass and has no setting
+        assert run("integrate", "--equation", "riccati", "--corrector-iters", "2") == 1
+
+    def test_infinite_rate_rejected(self):
+        assert run("solve", "--equation", "logistic", "--lambda", "inf") == 1
 
     @pytest.mark.parametrize("argv", [
         # round((10 - 5)/100) = 0 coarse steps: the output would stop at t = 5
@@ -213,3 +224,15 @@ class TestValidationAndExitCodes:
                    "--x0", "1", "--b", "1e9", "--h", "0.1", "--t-max", "2",
                    "--out", str(tmp_path / "d.csv"))
         assert code == 2
+
+
+def test_runtime_needs_numpy_only():
+    # a fresh interpreter: the test process itself has scipy loaded
+    src = str(Path(fracspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, fracspec.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

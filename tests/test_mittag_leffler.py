@@ -18,12 +18,6 @@ class TestParams:
             MlParams(alpha=0.0)
         with pytest.raises(ValueError):
             MlParams(alpha=1.2)
-        with pytest.raises(ValueError):
-            MlParams(alpha=0.5, series_tol=0.0)
-        with pytest.raises(ValueError):
-            MlParams(alpha=0.5, series_max_terms=0)
-        with pytest.raises(ValueError):
-            MlParams(alpha=0.5, asymptote_switch=-1.0)
 
 
 class TestSeries:
@@ -45,7 +39,7 @@ class TestSeries:
 
     def test_max_terms_warning(self):
         with pytest.warns(AccuracyWarning):
-            ml_series(-3.0, MlParams(alpha=0.75, series_max_terms=5))
+            ml_series(20.0, MlParams(alpha=0.5))
 
     def test_cancellation_guard_warning(self):
         # far outside the trustworthy range: peak partial sum dwarfs the value

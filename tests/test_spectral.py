@@ -27,6 +27,9 @@ class TestProblemSpec:
     def test_logistic_requires_rate(self):
         with pytest.raises(ValueError):
             ProblemSpec(kind="logistic", alpha=0.75, x0=0.75)
+        for rate in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError):
+                logistic(0.75, 0.75, rate)
 
     def test_cubic_domain(self):
         with pytest.raises(ValueError):
@@ -35,6 +38,10 @@ class TestProblemSpec:
             ProblemSpec(kind="cubic", alpha=0.75, x0=1.0, a=1.0, b=-0.5)
         with pytest.raises(ValueError):
             ProblemSpec(kind="cubic", alpha=0.75, x0=1.0, a=1.0, b=math.nan)
+        with pytest.raises(ValueError):
+            cubic(0.75, 1.0, a=math.inf)
+        with pytest.raises(ValueError):
+            cubic(0.75, 1.0, b=math.inf)
         cubic(0.75, 1.0, a=2.0, b=0.0)   # b = 0 (linear limit) is allowed
 
     def test_alpha_range(self):
