@@ -9,23 +9,28 @@ it combines the history f_0..f_n with per-step weights:
     predictor  X^P_{n+1} = x0 + P sum_j w_pred[j] f_j
     corrector  X_{n+1}   = x0 + C [sum_j w_hist[j] f_j + w_self f(X^P_{n+1})]
 
-Both sums are BLAS dot products; the rest of a step is float arithmetic, f
-a Horner polynomial.  The weights come from one of two providers.  On a
-lattice grid t_j = h L_j, with integer L stepping by 1 and then optionally
-by an integer ratio R (the uniform grid, and the two-phase fine/coarse grid
-when h_coarse/h_fine and t_switch/h_fine are integers), the kernel sequences
-of the fine lattice are tabulated once, free of cancellation, and each
-step's weights are contiguous slices of them, the coarse ones scaled by R^a;
-P = h^a/Gamma(a+1) and C = h^a/Gamma(a+2).  On any other strictly
-increasing grid the product-rectangle / product-trapezoid weights are
-rebuilt each step from u_j = t_{n+1} - t_j, with P = C = 1/Gamma(a).  The
-history convolution makes the total work O(N^2).
+The two history sums come from one of two providers, and the rest of a
+step is float arithmetic, f a Horner polynomial.  On a lattice grid
+t_j = h L_j, with integer L stepping by 1 and then optionally by an integer
+ratio R (the uniform grid, and the two-phase fine/coarse grid when
+h_coarse/h_fine and t_switch/h_fine are integers), the predictor and
+interior kernels of the fine lattice are tabulated once, free of
+cancellation, as the two rows of one array, and each step makes one BLAS
+product of a slice of it with the history after f_0, which takes scalar
+terms; coarse weights are the kernels at coarse lags scaled by R^a.  When
+the fine phase ends, its share of every coarse step's sums is computed in
+one matrix product per kernel.  P = h^a/Gamma(a+1) and C = h^a/Gamma(a+2).
+On any other strictly increasing grid the product-rectangle /
+product-trapezoid weights are rebuilt each step from u_j = t_{n+1} - t_j
+and dotted with the history, with P = C = 1/Gamma(a).  The history
+convolution makes the total work O(N^2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,8 +50,9 @@ __all__ = [
 ]
 
 # Bound on N = round(t_max/h) for the uniform solver, which keeps the O(N^2)
-# history cost within about two minutes: a riccati solve took 0.08-0.14 s at
-# 1e4 steps and 124 s at 4e5 (2-core x86-64, Python 3.11, OpenBLAS ddot).
+# history cost within about a minute: a riccati solve took 0.043-0.052 s at
+# 1e4 steps, 0.44-0.48 s at 4e4 and 41 s at 4e5 (2-core x86-64, Python 3.11,
+# OpenBLAS dgemv).
 MAX_STEPS = 400_000
 
 
@@ -92,9 +98,10 @@ class IntegratorConfig:
 # (a_m = right_{m+1} + first_m).  The closed forms cancel ~m^2 ulps at large
 # m; from _SERIES_LAG on each is c^(a-1) sum_k coef_k v^k, the binomial series
 # in v = 1/m (interior: v = 1/(m+1)^2 about the middle node, all terms
-# positive), accurate to a few ulps at every lag.
+# positive), accurate to a few ulps at every lag.  The series is evaluated in
+# bands of lags, each to the fewest terms its smallest lag needs.
 _SERIES_LAG = 2
-_BAND_SPLIT = 16     # lags past it need far fewer series terms
+_BANDS = (_SERIES_LAG, 16, 256, 4096)   # first lag of each series band
 
 
 def _binomials(a: float, n: int) -> np.ndarray:
@@ -105,13 +112,10 @@ def _binomials(a: float, n: int) -> np.ndarray:
     return c
 
 
-def _lattice_kernels(alpha: float, lags, names=("pred", "interior", "first", "right")):
-    """The named kernel sequences, in order, at integer lags >= 0."""
-    m = np.asarray(lags, dtype=float)
-    a = alpha
+def _kernel_defs(a: float) -> dict:
+    """name -> (closed form, centre, power of 1/c in v, series coefficients)."""
     ca, ca1 = _binomials(a, 60), _binomials(a + 1.0, 60)
-    # closed form, centre, power of 1/c in v, series coefficients
-    defs = {
+    return {
         "pred": (lambda m: (m + 1.0) ** a - m ** a, 0.0, 1, ca[1:]),
         "interior": (lambda m: ((m + 2.0) ** (a + 1.0) + m ** (a + 1.0)
                                 - 2.0 * (m + 1.0) ** (a + 1.0)),
@@ -121,60 +125,132 @@ def _lattice_kernels(alpha: float, lags, names=("pred", "interior", "first", "ri
         "right": (lambda m: (m + 1.0) ** (a + 1.0) - m ** (a + 1.0) - (a + 1.0) * m ** a,
                   0.0, 1, ca1[2:]),
     }
+
+
+def _series(kernel, lo: int, c: np.ndarray, c_pow: np.ndarray) -> np.ndarray:
+    """A kernel's series c^(a-1) sum_k coef_k v^k on a band of lags from
+    ``lo``, at c = lag + centre with c_pow = c^(a-1); it keeps the terms
+    until v_max^k < 2^-56, below double rounding."""
+    _, centre, power, coef = kernel
+    terms = math.ceil(56.0 / (power * math.log2(lo + centre)))
+    v = 1.0 / c if power == 1 else 1.0 / (c * c)
+    acc = np.full_like(v, coef[terms - 1])
+    for ck in coef[terms - 2::-1]:
+        acc *= v
+        acc += ck
+    acc *= c_pow
+    return acc
+
+
+def _lattice_kernels(alpha: float, lags, names=("pred", "interior", "first", "right")):
+    """The named kernel sequences, in order, at ascending integer lags >= 0."""
+    m = np.asarray(lags, dtype=float)
+    defs = _kernel_defs(alpha)
+    cuts = np.searchsorted(m, _BANDS).tolist() + [m.size]
     out = []
     for name in names:
-        closed, centre, power, coef = defs[name]
+        kernel = defs[name]
+        closed, centre = kernel[:2]
         val = np.empty_like(m)
-        small = m < _SERIES_LAG
-        val[small] = closed(m[small])
-        for lo, hi in ((_SERIES_LAG, _BAND_SPLIT), (_BAND_SPLIT, np.inf)):
-            band = (m >= lo) & (m < hi)
-            c = m[band] + centre
-            # terms until v_max^k < 2^-56, below double rounding
-            terms = math.ceil(56.0 / (power * math.log2(lo + centre)))
-            v = c ** -float(power)
-            acc = np.full_like(v, coef[terms - 1])
-            for ck in coef[terms - 2::-1]:
-                acc *= v
-                acc += ck
-            val[band] = c ** (a - 1.0) * acc
+        val[:cuts[0]] = closed(m[:cuts[0]])
+        for lo, i, j in zip(_BANDS, cuts, cuts[1:]):
+            c = m[i:j] + centre
+            val[i:j] = _series(kernel, lo, c, c ** (alpha - 1.0))
         out.append(val)
     return out
 
 
-def _lattice_weights(alpha: float, n_fine: int, ratio: int = 1, n_coarse: int = 0):
-    """Per-step weights on the lattice grid t = h L with L = 0, 1, ..., n_fine
-    followed by n_coarse steps of ``ratio``, in the uniform units.
+def _history_table(alpha: float, size: int) -> np.ndarray:
+    """Predictor and interior kernels at lags size-1, ..., 1, 0, as the two
+    rows of one array: its last n columns times f_1..f_n are both history
+    sums of a step in one product.  The values are _lattice_kernels'; the
+    two kernels share each power c^(a-1), the predictor's at c = m and the
+    interior's at c = m + 1."""
+    defs = _kernel_defs(alpha)
+    pred_kernel, inter_kernel = defs["pred"], defs["interior"]
+    table = np.empty((2, size), order="F")
+    pred, inter = table[:, ::-1]                # lag-ordered views
+    head = np.arange(float(min(size, _SERIES_LAG)))
+    pred[:head.size] = pred_kernel[0](head)
+    inter[:head.size] = inter_kernel[0](head)
+    for lo, hi in zip(_BANDS, _BANDS[1:] + (size,)):
+        hi = min(hi, size)
+        if lo >= hi:
+            break
+        c = np.arange(lo, hi + 1.0)
+        c_pow = c ** (alpha - 1.0)
+        pred[lo:hi] = _series(pred_kernel, lo, c[:-1], c_pow[:-1])
+        inter[lo:hi] = _series(inter_kernel, lo, c[1:], c_pow[1:])
+    return table
 
-    Predictor and interior kernels are tabulated once, reversed, over every
-    lag the grid reaches, so each step's weights are contiguous slices.  The
-    kernel (t - s)^(a-1) ds is homogeneous of degree a, so a coarse interval's
-    weights are the kernels at its coarse lag times ratio^a; the switch node
-    L = n_fine joins the right end of the last fine interval to the left end
-    of the first coarse one.
+
+def _fine_share(table: np.ndarray, g: np.ndarray, ratio: int, n_coarse: int):
+    """Both history sums of f_1..f_{n_fine-1} (``g``) at every coarse step,
+    each row of ``table`` against g as one product.
+
+    At coarse step s (node L = n_fine + ratio s) node j takes both kernels at
+    lag L - 1 - j, which is column 1 + ratio (n_coarse - s) + (j - 1) of the
+    table.  With g zero-padded to Q rows of ``ratio`` and the table read as
+    rows of ``ratio`` lags from column 1, row q of g meets table row
+    n_coarse - s + q: one (Q, ratio) x (ratio, n_coarse + Q - 1) product, and
+    step s sums its Q shifted diagonals.  Only the order of summation differs
+    from per-step dot products.
+    """
+    blocks = -(-g.size // ratio)                # Q
+    rows = n_coarse + blocks - 1
+    padded = np.zeros(blocks * ratio)
+    padded[:g.size] = g
+    padded = padded.reshape(blocks, ratio)
+    out = []
+    for kernel in table:
+        prod = np.dot(padded, kernel[1:1 + ratio * rows].reshape(rows, ratio).T)
+        share = np.zeros(n_coarse)
+        for q in range(blocks):
+            share += prod[q, q:q + n_coarse]
+        out.append(share[::-1])                 # s = 1..n_coarse
+    return out
+
+
+def _lattice_sums(alpha: float, n_fine: int, ratio: int, n_coarse: int, f: np.ndarray):
+    """Per-step (pred_sum, hist_sum, w_self) against ``f``, in the uniform
+    units, on the lattice grid t = h L with L = 0, 1, ..., n_fine followed by
+    n_coarse steps of ``ratio``.
+
+    The kernel (t - s)^(a-1) ds is homogeneous of degree a, so a coarse
+    interval's weights are the kernels at its coarse lag times ratio^a, and
+    every weight is a value of _history_table or of the ``first`` and
+    ``right`` kernels.  Each step makes one product of a table slice with
+    the history after f_0; f_0 takes scalar terms.  When the fine phase
+    ends, the fine history's share of every coarse step is computed at once
+    (_fine_share); a coarse step then adds f_0 and the switch node
+    L = n_fine, which joins the right end of the last fine interval to the
+    left end of the first coarse one, as scalar terms, and its one product
+    runs over the coarse history.
     """
     top = n_fine + ratio * n_coarse             # largest lag + 1
-    pred, inter = _lattice_kernels(alpha, np.arange(top - 1, -1, -1), ("pred", "interior"))
+    table = _history_table(alpha, top)
     nodes = np.concatenate((np.arange(1, n_fine + 1),
                             n_fine + ratio * np.arange(1, n_coarse + 1)))
     (first,) = _lattice_kernels(alpha, nodes - 1, ("first",))
-    for n in range(n_fine):                     # node n + 1, lags n..0
-        yield (pred[top - n - 1:],
-               np.concatenate((first[n:n + 1], inter[top - n:])), 1.0)
+    # f_0's predictor and corrector terms at every step: lag L - 1
+    f0_pred, f0_hist = table[0, top - nodes] * f[0], first * f[0]
+    for n, (p0, h0) in enumerate(zip(f0_pred[:n_fine].tolist(), f0_hist[:n_fine].tolist())):
+        pred, hist = np.dot(table[:, top - n:], f[1:n + 1]).tolist()
+        yield p0 + pred, h0 + hist, 1.0
     if not n_coarse:
         return
     scale = float(ratio) ** alpha
-    coarse_pred, coarse_inter = scale * pred[top - n_coarse:], scale * inter[top - n_coarse:]
     (right,) = _lattice_kernels(alpha, ratio * np.arange(1, n_coarse + 1), ("right",))
     (coarse_first,) = _lattice_kernels(alpha, np.arange(n_coarse), ("first",))
-    switch = right + scale * coarse_first
-    for s in range(1, n_coarse + 1):            # node n_fine + s, L = n_fine + ratio s
-        off = top - n_fine - ratio * s
-        yield (np.concatenate((pred[off:off + n_fine], coarse_pred[n_coarse - s:])),
-               np.concatenate((first[n_fine + s - 1:n_fine + s],
-                               inter[off + 1:off + n_fine], switch[s - 1:s],
-                               coarse_inter[n_coarse - s + 1:])),
-               scale)
+    fine_pred, fine_hist = _fine_share(table, f[1:n_fine], ratio, n_coarse)
+    # the switch node L = n_fine: R^a times the predictor at coarse lag s - 1,
+    # and right + R^a first
+    f_switch = f[n_fine]
+    pred_base = f0_pred[n_fine:] + fine_pred + scale * f_switch * table[0, top - n_coarse:][::-1]
+    hist_base = f0_hist[n_fine:] + fine_hist + f_switch * (right + scale * coarse_first)
+    for s, (p0, h0) in enumerate(zip(pred_base.tolist(), hist_base.tolist()), 1):
+        pred, hist = np.dot(table[:, top - s + 1:], f[n_fine + 1:n_fine + s]).tolist()
+        yield p0 + scale * pred, h0 + scale * hist, scale
 
 
 def _lattice(times: np.ndarray):
@@ -197,39 +273,45 @@ def _lattice(times: np.ndarray):
     return h, n_fine, ratio, steps.size - n_fine
 
 
-def _grid_weights(times: np.ndarray, alpha: float):
-    """Per-step product-rectangle predictor and product-trapezoid corrector
-    weights on an arbitrary grid, in units of 1/Gamma(a)."""
+def _grid_sums(times: np.ndarray, alpha: float, f: np.ndarray):
+    """Per-step (pred_sum, hist_sum, w_self) against ``f`` on an arbitrary
+    grid: product-rectangle predictor and product-trapezoid corrector weights,
+    in units of 1/Gamma(a), rebuilt each step and dotted with f_0..f_n."""
+    steps = np.diff(times)
     for n in range(times.size - 1):
         u = times[n + 1] - times[:n + 2]          # u[-1] = 0
         ua = u ** alpha
         ua1 = ua * u
         d_a = (ua1[:-1] - ua1[1:]) / (alpha + 1.0)
         d_b = (ua[:-1] - ua[1:]) / alpha
-        dt = np.diff(times[:n + 2])
+        dt = steps[:n + 1]
         w = np.zeros(n + 2)
         w[:-1] += (d_a - u[1:] * d_b) / dt
         w[1:] += (u[:-1] * d_b - d_a) / dt
-        yield d_b, w[:-1], float(w[-1])
+        yield float(np.dot(d_b, f[:n + 1])), float(np.dot(w[:-1], f[:n + 1])), float(w[-1])
 
 
-def _march(spec: ProblemSpec, times: np.ndarray, weights, pred_factor: float,
+def _march(spec: ProblemSpec, times: np.ndarray, sums, pred_factor: float,
            corr_factor: float) -> np.ndarray:
-    """PECE (predict, evaluate, correct once, evaluate) over ``times`` with
-    weights (w_pred, w_hist, w_self) per step, w_pred and w_hist aligned with
-    f_0..f_n.  History sums are plain BLAS dot products: the weights carry a
-    few ulps each, and a compensated sum changes the trajectory by less than
-    that.  The rest is Python float arithmetic, f by Horner's rule, so
-    overflow gives inf or nan without a warning; DivergenceError reports the
-    first step whose state is not finite."""
+    """PECE (predict, evaluate, correct once, evaluate) over ``times``.
+
+    ``sums(f)`` yields, for each step n, the predictor and corrector history
+    sums over f_0..f_n, read from ``f`` when the step starts, and the weight
+    w_self of the predicted point, as Python floats.  The history sums are
+    plain BLAS products, not compensated ones: the weights carry a few ulps
+    each, and the trajectories lie within 3e-15 of solves with 40-digit
+    weights and exact sums on the benchmark's problems, 9e-15 at 1e4 steps.  The rest is Python float
+    arithmetic, f by Horner's rule, so overflow gives inf or nan without a
+    warning; DivergenceError reports the first step whose state is not
+    finite."""
     p = _rhs_coefficients(spec)
     x = np.empty(times.size)
     f = np.empty(times.size)
     x[0] = x0 = float(spec.x0)
     f[0] = _horner(p, x0)
-    for n, (w_pred, w_hist, w_self) in enumerate(weights):
-        xp = x0 + pred_factor * float(np.dot(w_pred, f[:n + 1]))
-        xc = x0 + corr_factor * (float(np.dot(w_hist, f[:n + 1])) + w_self * _horner(p, xp))
+    for n, (pred_sum, hist_sum, w_self) in enumerate(sums(f)):
+        xp = x0 + pred_factor * pred_sum
+        xc = x0 + corr_factor * (hist_sum + w_self * _horner(p, xp))
         if not math.isfinite(xc):
             raise DivergenceError(n + 1, times[n + 1])
         x[n + 1] = xc
@@ -262,14 +344,14 @@ def abm_solve_grid(spec: ProblemSpec, times) -> Trajectory:
     alpha = spec.alpha
     lattice = _lattice(times)
     if lattice is None:
-        weights = _grid_weights(times, alpha)
+        sums = partial(_grid_sums, times, alpha)
         pred_factor = corr_factor = 1.0 / math.gamma(alpha)
     else:
         h, *pieces = lattice
-        weights = _lattice_weights(alpha, *pieces)
+        sums = partial(_lattice_sums, alpha, *pieces)
         pred_factor = h ** alpha / math.gamma(alpha + 1.0)
         corr_factor = h ** alpha / math.gamma(alpha + 2.0)
-    x = _march(spec, times, weights, pred_factor, corr_factor)
+    x = _march(spec, times, sums, pred_factor, corr_factor)
     info = {"alpha": alpha, "scheme": "abm-grid"}
     return Trajectory(times=times, values=x, meta="numerical", info=info)
 

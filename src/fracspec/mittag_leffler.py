@@ -38,9 +38,9 @@ __all__ = [
     "mittag_leffler",
 ]
 
-# Negative-axis magnitude up to which the double-precision series still meets
-# ~1e-9 relative accuracy: partial sums peak near exp(|z|**(1/alpha)), so cap
-# that exponent at 11.5 (peak ~1e5, leaving ~9 digits after cancellation).
+# Negative-axis magnitude up to which the double-precision series stays
+# usable: partial sums peak near exp(|z|**(1/alpha)), so cap that exponent at
+# 11.5 (peak ~1e5; MlParams.series_neg_cutoff gives the measured error).
 _SERIES_NEG_EXPONENT_CAP = 11.5
 
 # Ratio of peak partial-sum magnitude to the final value beyond which the
@@ -83,7 +83,13 @@ class MlParams:
 
     @property
     def series_neg_cutoff(self) -> float:
-        """|z| up to which ``ml_series`` keeps ~1e-9 accuracy (z < 0)."""
+        """|z| up to which ``ml_series`` stays usable on z < 0.
+
+        Its worst relative error on [-cutoff, 0] (400 points against a
+        40-digit reference) is at most 6.9e-10 for alpha in [0.1, 0.75],
+        5.9e-9 at 0.9, 2.2e-8 at 0.97 and 6.2e-7 at 0.999 (4.5e-7 at 1):
+        cancellation sets it, and it grows as alpha -> 1.  At alpha = 0.05
+        the series reaches its term cap before the cutoff and warns."""
         return min(self.asymptote_switch, _SERIES_NEG_EXPONENT_CAP ** self.alpha)
 
 

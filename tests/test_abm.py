@@ -1,6 +1,6 @@
-import itertools
 import math
 import warnings
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +13,7 @@ from fracspec import (DivergenceError, IntegratorConfig, MlParams, Trajectory,
                       build_spectrum, closed_form_integer, compare_solutions,
                       cubic, eval_trajectory, fit_power_law, logistic,
                       ml_eval, riccati, two_phase_grid)
-from fracspec.abm import (_grid_weights, _lattice, _lattice_kernels, _lattice_weights,
+from fracspec.abm import (_grid_sums, _history_table, _lattice, _lattice_kernels,
                           _march)
 
 
@@ -35,8 +35,12 @@ class TestConfig:
 
 def step_weights(alpha, n):
     """The uniform provider's (w_pred, w_hist, w_self) for the step n -> n+1,
-    aligned with f_0..f_n, in units of h^a/Gamma(a+1) and h^a/Gamma(a+2)."""
-    return next(itertools.islice(_lattice_weights(alpha, n + 1), n, None))
+    aligned with f_0..f_n, in units of h^a/Gamma(a+1) and h^a/Gamma(a+2):
+    f_0 takes the predictor and first kernels at lag n, f_1..f_n the last n
+    columns of the history table."""
+    table = _history_table(alpha, n + 1)
+    (first,) = _lattice_kernels(alpha, [n], ("first",))
+    return table[0], np.concatenate((first, table[1, 1:])), 1.0
 
 
 class TestWeights:
@@ -98,11 +102,21 @@ class TestKernelTables:
                     rel = abs((float(table[i]) - ref) / ref)
                     assert rel <= 1e-14, f"{name} alpha={alpha} m={lag}: {float(rel):.3g}"
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
+    def test_history_table_is_kernels(self, alpha):
+        # the solver's table shares c^(a-1) between its two rows; over every
+        # series band it must give _lattice_kernels' values bit for bit
+        size = 5000
+        table = _history_table(alpha, size)
+        pred, inter = _lattice_kernels(alpha, np.arange(size), ("pred", "interior"))
+        assert np.array_equal(table[0, ::-1], pred)
+        assert np.array_equal(table[1, ::-1], inter)
+
 
 def _rebuilt(spec, grid):
     """The per-step weight rebuild on the same grid, as the lattice reference."""
     inv_gamma = 1.0 / math.gamma(spec.alpha)
-    return _march(spec, grid, _grid_weights(grid, spec.alpha), inv_gamma, inv_gamma)
+    return _march(spec, grid, partial(_grid_sums, grid, spec.alpha), inv_gamma, inv_gamma)
 
 
 class TestLatticeTables:
@@ -117,6 +131,29 @@ class TestLatticeTables:
         assert _lattice(grid) is not None
         two = abm_solve_two_phase(spec, h_fine, t_switch, h_coarse, t_max)
         assert np.max(np.abs(two.values - _rebuilt(spec, grid))) <= tol
+
+    @pytest.mark.parametrize("h_fine, t_switch, h_coarse, t_max, shape", [
+        (1e-2, 1.03, 0.05, 2.0, (103, 5, 19)),     # n_fine not a multiple of ratio
+        (1e-2, 0.03, 0.1, 1.0, (3, 10, 10)),       # ratio > n_fine
+        (0.1, 0.1, 0.2, 0.7, (1, 2, 3)),           # n_fine = 1: L = 0, 1, 3, 5, 7
+    ])
+    def test_lattice_shapes_match_rebuild(self, h_fine, t_switch, h_coarse, t_max, shape):
+        grid = two_phase_grid(h_fine, t_switch, h_coarse, t_max)
+        assert _lattice(grid)[1:] == shape
+        for spec in (riccati(0.75, 2.0), cubic(0.5, 1.0)):
+            assert np.max(np.abs(abm_solve_grid(spec, grid).values - _rebuilt(spec, grid))) <= 1e-13
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(min_value=0.3, max_value=1.0),
+           n_fine=st.integers(min_value=1, max_value=12),
+           ratio=st.integers(min_value=2, max_value=7),
+           n_coarse=st.integers(min_value=1, max_value=12))
+    def test_lattice_matches_rebuild_property(self, alpha, n_fine, ratio, n_coarse):
+        lags = np.concatenate((np.arange(n_fine + 1), n_fine + ratio * np.arange(1, n_coarse + 1)))
+        grid = 0.05 * lags
+        assert _lattice(grid)[1:] == (n_fine, ratio, n_coarse)
+        spec = riccati(alpha, 2.0)
+        assert np.max(np.abs(abm_solve_grid(spec, grid).values - _rebuilt(spec, grid))) <= 1e-13
 
     def test_sparse_lattice_rebuilds(self):
         # on the lattice of its 1e-4 first step this grid spans 3e4 lags for
