@@ -15,11 +15,12 @@ t_j = h L_j, with integer L stepping by 1 and then optionally by an integer
 ratio R (the uniform grid, and the two-phase fine/coarse grid when
 h_coarse/h_fine and t_switch/h_fine are integers), the predictor and
 interior kernels of the fine lattice are tabulated once, free of
-cancellation, as the two rows of one array, and each step makes one BLAS
-product of a slice of it with the history after f_0, which takes scalar
-terms; coarse weights are the kernels at coarse lags scaled by R^a.  When
-the fine phase ends, its share of every coarse step's sums is computed in
-one matrix product per kernel.  P = h^a/Gamma(a+1) and C = h^a/Gamma(a+2).
+cancellation, as the two rows of one array; a step takes both history
+sums from a slice of it against the history after f_0, which takes scalar
+terms, in one BLAS call (a ddot per sum on runs past 1e4 steps).  Coarse
+weights are the kernels at coarse lags scaled by R^a; the fine history
+keeps its fine-lattice weights, and each coarse step takes its share from
+a second slice.  P = h^a/Gamma(a+1) and C = h^a/Gamma(a+2).
 On any other strictly increasing grid the product-rectangle /
 product-trapezoid weights are rebuilt each step from u_j = t_{n+1} - t_j
 and dotted with the history, with P = C = 1/Gamma(a).  The history
@@ -50,9 +51,9 @@ __all__ = [
 ]
 
 # Bound on N = round(t_max/h) for the uniform solver, which keeps the O(N^2)
-# history cost within about a minute: a riccati solve took 0.043-0.052 s at
-# 1e4 steps, 0.44-0.48 s at 4e4 and 41 s at 4e5 (2-core x86-64, Python 3.11,
-# OpenBLAS dgemv).
+# history cost within about a minute: a riccati solve took 0.033-0.038 s at
+# 1e4 steps, 0.27-0.29 s at 4e4 and 28 s at 4e5 (2-core x86-64, Python 3.11,
+# OpenBLAS 0.3.31).
 MAX_STEPS = 400_000
 
 
@@ -112,10 +113,13 @@ def _binomials(a: float, n: int) -> np.ndarray:
     return c
 
 
-def _kernel_defs(a: float) -> dict:
-    """name -> (closed form, centre, power of 1/c in v, series coefficients)."""
+def _lattice_kernels(alpha: float, lags, names=("pred", "interior", "first", "right")):
+    """The named kernel sequences, in order, at ascending integer lags >= 0."""
+    m = np.asarray(lags, dtype=float)
+    a = alpha
     ca, ca1 = _binomials(a, 60), _binomials(a + 1.0, 60)
-    return {
+    # closed form, centre, power of 1/c in v, series coefficients
+    defs = {
         "pred": (lambda m: (m + 1.0) ** a - m ** a, 0.0, 1, ca[1:]),
         "interior": (lambda m: ((m + 2.0) ** (a + 1.0) + m ** (a + 1.0)
                                 - 2.0 * (m + 1.0) ** (a + 1.0)),
@@ -125,90 +129,42 @@ def _kernel_defs(a: float) -> dict:
         "right": (lambda m: (m + 1.0) ** (a + 1.0) - m ** (a + 1.0) - (a + 1.0) * m ** a,
                   0.0, 1, ca1[2:]),
     }
-
-
-def _series(kernel, lo: int, c: np.ndarray, c_pow: np.ndarray) -> np.ndarray:
-    """A kernel's series c^(a-1) sum_k coef_k v^k on a band of lags from
-    ``lo``, at c = lag + centre with c_pow = c^(a-1); it keeps the terms
-    until v_max^k < 2^-56, below double rounding."""
-    _, centre, power, coef = kernel
-    terms = math.ceil(56.0 / (power * math.log2(lo + centre)))
-    v = 1.0 / c if power == 1 else 1.0 / (c * c)
-    acc = np.full_like(v, coef[terms - 1])
-    for ck in coef[terms - 2::-1]:
-        acc *= v
-        acc += ck
-    acc *= c_pow
-    return acc
-
-
-def _lattice_kernels(alpha: float, lags, names=("pred", "interior", "first", "right")):
-    """The named kernel sequences, in order, at ascending integer lags >= 0."""
-    m = np.asarray(lags, dtype=float)
-    defs = _kernel_defs(alpha)
     cuts = np.searchsorted(m, _BANDS).tolist() + [m.size]
     out = []
     for name in names:
-        kernel = defs[name]
-        closed, centre = kernel[:2]
+        closed, centre, power, coef = defs[name]
         val = np.empty_like(m)
         val[:cuts[0]] = closed(m[:cuts[0]])
         for lo, i, j in zip(_BANDS, cuts, cuts[1:]):
             c = m[i:j] + centre
-            val[i:j] = _series(kernel, lo, c, c ** (alpha - 1.0))
+            # terms until v_max^k < 2^-56, below double rounding
+            terms = math.ceil(56.0 / (power * math.log2(lo + centre)))
+            v = 1.0 / c if power == 1 else 1.0 / (c * c)
+            acc = np.full_like(v, coef[terms - 1])
+            for ck in coef[terms - 2::-1]:
+                acc *= v
+                acc += ck
+            acc *= c ** (a - 1.0)
+            val[i:j] = acc
         out.append(val)
     return out
 
 
-def _history_table(alpha: float, size: int) -> np.ndarray:
-    """Predictor and interior kernels at lags size-1, ..., 1, 0, as the two
-    rows of one array: its last n columns times f_1..f_n are both history
-    sums of a step in one product.  The values are _lattice_kernels'; the
-    two kernels share each power c^(a-1), the predictor's at c = m and the
-    interior's at c = m + 1."""
-    defs = _kernel_defs(alpha)
-    pred_kernel, inter_kernel = defs["pred"], defs["interior"]
-    table = np.empty((2, size), order="F")
-    pred, inter = table[:, ::-1]                # lag-ordered views
-    head = np.arange(float(min(size, _SERIES_LAG)))
-    pred[:head.size] = pred_kernel[0](head)
-    inter[:head.size] = inter_kernel[0](head)
-    for lo, hi in zip(_BANDS, _BANDS[1:] + (size,)):
-        hi = min(hi, size)
-        if lo >= hi:
-            break
-        c = np.arange(lo, hi + 1.0)
-        c_pow = c ** (alpha - 1.0)
-        pred[lo:hi] = _series(pred_kernel, lo, c[:-1], c_pow[:-1])
-        inter[lo:hi] = _series(inter_kernel, lo, c[1:], c_pow[1:])
-    return table
+# Runs of up to _GEMV_STEPS steps take both history sums of a slice from one
+# OpenBLAS dgemv_n over a column-major table.  Its one running sum per row
+# leaves a riccati trajectory 8.8e-15 from a solve with 40-digit weights and
+# exact sums at 1e4 steps and 1.8e-14 at 4e4, where a ddot per sum, which
+# keeps several partial sums, stays within 1.0e-15.  Longer runs take the
+# ddots from a row-major table; at 4e4 steps they are also the faster pair.
+_GEMV_STEPS = 10_000
 
 
-def _fine_share(table: np.ndarray, g: np.ndarray, ratio: int, n_coarse: int):
-    """Both history sums of f_1..f_{n_fine-1} (``g``) at every coarse step,
-    each row of ``table`` against g as one product.
+def _gemv(rows: np.ndarray, g: np.ndarray):
+    return np.dot(rows, g).tolist()
 
-    At coarse step s (node L = n_fine + ratio s) node j takes both kernels at
-    lag L - 1 - j, which is column 1 + ratio (n_coarse - s) + (j - 1) of the
-    table.  With g zero-padded to Q rows of ``ratio`` and the table read as
-    rows of ``ratio`` lags from column 1, row q of g meets table row
-    n_coarse - s + q: one (Q, ratio) x (ratio, n_coarse + Q - 1) product, and
-    step s sums its Q shifted diagonals.  Only the order of summation differs
-    from per-step dot products.
-    """
-    blocks = -(-g.size // ratio)                # Q
-    rows = n_coarse + blocks - 1
-    padded = np.zeros(blocks * ratio)
-    padded[:g.size] = g
-    padded = padded.reshape(blocks, ratio)
-    out = []
-    for kernel in table:
-        prod = np.dot(padded, kernel[1:1 + ratio * rows].reshape(rows, ratio).T)
-        share = np.zeros(n_coarse)
-        for q in range(blocks):
-            share += prod[q, q:q + n_coarse]
-        out.append(share[::-1])                 # s = 1..n_coarse
-    return out
+
+def _ddots(rows: np.ndarray, g: np.ndarray):
+    return float(np.dot(rows[0], g)), float(np.dot(rows[1], g))
 
 
 def _lattice_sums(alpha: float, n_fine: int, ratio: int, n_coarse: int, f: np.ndarray):
@@ -216,41 +172,45 @@ def _lattice_sums(alpha: float, n_fine: int, ratio: int, n_coarse: int, f: np.nd
     units, on the lattice grid t = h L with L = 0, 1, ..., n_fine followed by
     n_coarse steps of ``ratio``.
 
-    The kernel (t - s)^(a-1) ds is homogeneous of degree a, so a coarse
-    interval's weights are the kernels at its coarse lag times ratio^a, and
-    every weight is a value of _history_table or of the ``first`` and
-    ``right`` kernels.  Each step makes one product of a table slice with
-    the history after f_0; f_0 takes scalar terms.  When the fine phase
-    ends, the fine history's share of every coarse step is computed at once
-    (_fine_share); a coarse step then adds f_0 and the switch node
-    L = n_fine, which joins the right end of the last fine interval to the
-    left end of the first coarse one, as scalar terms, and its one product
-    runs over the coarse history.
+    The predictor and interior kernels at lags top-1, ..., 1, 0 are the two
+    rows of one table, so a slice of it against f_1..f_n gives both history
+    sums of a fine step; f_0 takes scalar terms.  The kernel (t - s)^(a-1) ds
+    is homogeneous of degree a, so a coarse interval's weights are the
+    kernels at its coarse lag times ratio^a.  A coarse step takes the sums
+    over the fine history f_1..f_{n_fine-1} and over the coarse history, and
+    adds f_0 and the switch node L = n_fine, which joins the right end of
+    the last fine interval to the left end of the first coarse one, as
+    scalar terms.
     """
     top = n_fine + ratio * n_coarse             # largest lag + 1
-    table = _history_table(alpha, top)
+    short = n_fine + n_coarse <= _GEMV_STEPS
+    dots = _gemv if short else _ddots
+    table = np.empty((2, top), order="F" if short else "C")
+    table[0, ::-1], table[1, ::-1] = _lattice_kernels(alpha, np.arange(top), ("pred", "interior"))
     nodes = np.concatenate((np.arange(1, n_fine + 1),
                             n_fine + ratio * np.arange(1, n_coarse + 1)))
     (first,) = _lattice_kernels(alpha, nodes - 1, ("first",))
     # f_0's predictor and corrector terms at every step: lag L - 1
     f0_pred, f0_hist = table[0, top - nodes] * f[0], first * f[0]
     for n, (p0, h0) in enumerate(zip(f0_pred[:n_fine].tolist(), f0_hist[:n_fine].tolist())):
-        pred, hist = np.dot(table[:, top - n:], f[1:n + 1]).tolist()
+        pred, hist = dots(table[:, top - n:], f[1:n + 1])
         yield p0 + pred, h0 + hist, 1.0
     if not n_coarse:
         return
     scale = float(ratio) ** alpha
     (right,) = _lattice_kernels(alpha, ratio * np.arange(1, n_coarse + 1), ("right",))
     (coarse_first,) = _lattice_kernels(alpha, np.arange(n_coarse), ("first",))
-    fine_pred, fine_hist = _fine_share(table, f[1:n_fine], ratio, n_coarse)
-    # the switch node L = n_fine: R^a times the predictor at coarse lag s - 1,
-    # and right + R^a first
+    # the switch node: R^a times the predictor at coarse lag s - 1, and
+    # right + R^a first
     f_switch = f[n_fine]
-    pred_base = f0_pred[n_fine:] + fine_pred + scale * f_switch * table[0, top - n_coarse:][::-1]
-    hist_base = f0_hist[n_fine:] + fine_hist + f_switch * (right + scale * coarse_first)
+    pred_base = f0_pred[n_fine:] + scale * f_switch * table[0, top - n_coarse:][::-1]
+    hist_base = f0_hist[n_fine:] + f_switch * (right + scale * coarse_first)
+    fine = f[1:n_fine]
     for s, (p0, h0) in enumerate(zip(pred_base.tolist(), hist_base.tolist()), 1):
-        pred, hist = np.dot(table[:, top - s + 1:], f[n_fine + 1:n_fine + s]).tolist()
-        yield p0 + scale * pred, h0 + scale * hist, scale
+        lo = 1 + ratio * (n_coarse - s)         # f_1's column: lag ratio s + n_fine - 2
+        fine_pred, fine_hist = dots(table[:, lo:lo + fine.size], fine)
+        pred, hist = dots(table[:, top - s + 1:], f[n_fine + 1:n_fine + s])
+        yield p0 + fine_pred + scale * pred, h0 + fine_hist + scale * hist, scale
 
 
 def _lattice(times: np.ndarray):
@@ -299,11 +259,12 @@ def _march(spec: ProblemSpec, times: np.ndarray, sums, pred_factor: float,
     sums over f_0..f_n, read from ``f`` when the step starts, and the weight
     w_self of the predicted point, as Python floats.  The history sums are
     plain BLAS products, not compensated ones: the weights carry a few ulps
-    each, and the trajectories lie within 3e-15 of solves with 40-digit
-    weights and exact sums on the benchmark's problems, 9e-15 at 1e4 steps.  The rest is Python float
-    arithmetic, f by Horner's rule, so overflow gives inf or nan without a
-    warning; DivergenceError reports the first step whose state is not
-    finite."""
+    each, and against solves with 40-digit weights and exact sums the
+    trajectories lie within 3.3e-15 on the benchmark's problems, 8.8e-15 at
+    1e4 steps and 1.7e-15 at 4e5 (see _GEMV_STEPS).  The rest is Python
+    float arithmetic, f by Horner's rule, so overflow gives inf or nan
+    without a warning; DivergenceError reports the first step whose state
+    is not finite."""
     p = _rhs_coefficients(spec)
     x = np.empty(times.size)
     f = np.empty(times.size)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -13,8 +14,8 @@ from fracspec import (DivergenceError, IntegratorConfig, MlParams, Trajectory,
                       build_spectrum, closed_form_integer, compare_solutions,
                       cubic, eval_trajectory, fit_power_law, logistic,
                       ml_eval, riccati, two_phase_grid)
-from fracspec.abm import (_grid_sums, _history_table, _lattice, _lattice_kernels,
-                          _march)
+from fracspec import abm
+from fracspec.abm import _grid_sums, _lattice, _lattice_kernels, _march
 
 
 class TestConfig:
@@ -36,11 +37,11 @@ class TestConfig:
 def step_weights(alpha, n):
     """The uniform provider's (w_pred, w_hist, w_self) for the step n -> n+1,
     aligned with f_0..f_n, in units of h^a/Gamma(a+1) and h^a/Gamma(a+2):
-    f_0 takes the predictor and first kernels at lag n, f_1..f_n the last n
-    columns of the history table."""
-    table = _history_table(alpha, n + 1)
+    f_j takes the predictor kernel at lag n - j, f_0 the first kernel at lag
+    n and f_1..f_n the interior kernel at lags n - 1..0."""
+    pred, inter = _lattice_kernels(alpha, np.arange(n + 1), ("pred", "interior"))
     (first,) = _lattice_kernels(alpha, [n], ("first",))
-    return table[0], np.concatenate((first, table[1, 1:])), 1.0
+    return pred[::-1], np.concatenate((first, inter[-2::-1])), 1.0
 
 
 class TestWeights:
@@ -102,16 +103,6 @@ class TestKernelTables:
                     rel = abs((float(table[i]) - ref) / ref)
                     assert rel <= 1e-14, f"{name} alpha={alpha} m={lag}: {float(rel):.3g}"
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
-    def test_history_table_is_kernels(self, alpha):
-        # the solver's table shares c^(a-1) between its two rows; over every
-        # series band it must give _lattice_kernels' values bit for bit
-        size = 5000
-        table = _history_table(alpha, size)
-        pred, inter = _lattice_kernels(alpha, np.arange(size), ("pred", "interior"))
-        assert np.array_equal(table[0, ::-1], pred)
-        assert np.array_equal(table[1, ::-1], inter)
-
 
 def _rebuilt(spec, grid):
     """The per-step weight rebuild on the same grid, as the lattice reference."""
@@ -154,6 +145,34 @@ class TestLatticeTables:
         assert _lattice(grid)[1:] == (n_fine, ratio, n_coarse)
         spec = riccati(alpha, 2.0)
         assert np.max(np.abs(abm_solve_grid(spec, grid).values - _rebuilt(spec, grid))) <= 1e-13
+
+    def test_long_fine_phase_short_coarse_phase_memory(self):
+        # 2000 fine nodes against 2 coarse steps of ratio 2: the fine
+        # history's share of the coarse steps must keep the solve's memory
+        # O(N) however the nodes split between the phases
+        grid = two_phase_grid(1e-3, 2.0, 2e-3, 2.004)
+        assert _lattice(grid)[1:] == (2000, 2, 2)
+        spec = riccati(0.75, 2.0)
+        tracemalloc.start()
+        try:
+            values = abm_solve_grid(spec, grid).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.max(np.abs(values - _rebuilt(spec, grid))) <= 1e-13
+
+    @pytest.mark.parametrize("grid", [0.01 * np.arange(301),
+                                      two_phase_grid(1e-2, 1.03, 0.05, 2.0)],
+                             ids=["uniform", "two-phase"])
+    def test_long_run_products_match_short_run_products(self, monkeypatch, grid):
+        # runs past _GEMV_STEPS take a ddot per sum from a row-major table
+        spec = riccati(0.75, 2.0)
+        short = abm_solve_grid(spec, grid).values
+        monkeypatch.setattr(abm, "_GEMV_STEPS", 0)
+        long = abm_solve_grid(spec, grid).values
+        assert np.max(np.abs(long - short)) <= 1e-14
+        assert np.max(np.abs(long - _rebuilt(spec, grid))) <= 1e-13
 
     def test_sparse_lattice_rebuilds(self):
         # on the lattice of its 1e-4 first step this grid spans 3e4 lags for
