@@ -11,9 +11,9 @@ from .problems import (EquationKind, ProblemSpec, SpectralSolution, Trajectory,
                        eval_solution, eval_trajectory, logistic, riccati)
 from .residual import (FitError, ResidualReport, analyze,
                        cubic_long_coefficients, default_grid, fit_power_law,
-                       lhs_caputo, rescale_residual, residual,
-                       residual_long_asymptote, residual_short_asymptote,
-                       residual_trajectory, rhs_nonlinear)
+                       rescale_residual, residual, residual_long_asymptote,
+                       residual_short_asymptote, residual_trajectory,
+                       rhs_nonlinear)
 from .abm import (DivergenceError, IntegratorConfig, abm_solve, abm_solve_grid,
                   abm_solve_two_phase, compare_solutions, two_phase_grid)
 
@@ -24,7 +24,7 @@ __all__ = [
     "build_spectrum", "closed_form_integer", "cubic", "eval_solution",
     "eval_trajectory", "logistic", "riccati",
     "FitError", "ResidualReport", "analyze", "cubic_long_coefficients",
-    "default_grid", "fit_power_law", "lhs_caputo", "rescale_residual",
+    "default_grid", "fit_power_law", "rescale_residual",
     "residual", "residual_long_asymptote", "residual_short_asymptote",
     "residual_trajectory", "rhs_nonlinear",
     "DivergenceError", "IntegratorConfig", "abm_solve", "abm_solve_grid",

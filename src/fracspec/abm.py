@@ -140,12 +140,13 @@ def _lattice_kernels(alpha: float, lags, names=("pred", "interior", "first", "ri
             # terms until v_max^k < 2^-56, below double rounding
             terms = math.ceil(56.0 / (power * math.log2(lo + centre)))
             v = 1.0 / c if power == 1 else 1.0 / (c * c)
-            acc = np.full_like(v, coef[terms - 1])
+            acc = val[i:j]      # Horner's rule in place, in the output
+            acc[...] = coef[terms - 1]
             for ck in coef[terms - 2::-1]:
                 acc *= v
                 acc += ck
-            acc *= c ** (a - 1.0)
-            val[i:j] = acc
+            c **= a - 1.0
+            acc *= c
         out.append(val)
     return out
 
@@ -186,7 +187,9 @@ def _lattice_sums(alpha: float, n_fine: int, ratio: int, n_coarse: int, f: np.nd
     short = n_fine + n_coarse <= _GEMV_STEPS
     dots = _gemv if short else _ddots
     table = np.empty((2, top), order="F" if short else "C")
-    table[0, ::-1], table[1, ::-1] = _lattice_kernels(alpha, np.arange(top), ("pred", "interior"))
+    lags = np.arange(top, dtype=float)
+    for row, name in zip(table, ("pred", "interior")):     # one kernel alive at a time
+        (row[::-1],) = _lattice_kernels(alpha, lags, (name,))
     nodes = np.concatenate((np.arange(1, n_fine + 1),
                             n_fine + ratio * np.arange(1, n_coarse + 1)))
     (first,) = _lattice_kernels(alpha, nodes - 1, ("first",))

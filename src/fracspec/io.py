@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "format_float",
     "write_csv",
-    "read_csv",
     "write_report_csv",
     "write_sidecar",
 ]
@@ -41,25 +40,6 @@ def write_csv(path, header: list[str], columns: list[np.ndarray],
     for i in range(n):
         lines.append(",".join(format_float(c[i]) for c in cols))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_csv(path) -> tuple[list[str], list[np.ndarray]]:
-    """Inverse of write_csv; '#' preamble lines are skipped."""
-    rows = []
-    header = None
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    if header is None:
-        raise ValueError(f"{path} has no header line")
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    return header, [data[:, i].copy() for i in range(len(header))]
 
 
 def write_report_csv(report, path) -> None:

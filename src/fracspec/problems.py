@@ -53,8 +53,10 @@ class ProblemSpec:
     """Which equation, fractional order, rate parameters and initial value.
 
     lambda_ applies to the logistic equation only; a, b to the cubic only.
-    The logistic expansion has geometric ratio (x0-1)/x0, so x0 <= 1/2 is
-    rejected outright (the series would not converge absolutely).
+    Y = (X+1)/2 maps riccati exactly onto the logistic d^a Y = 2 Y (1 - Y),
+    so both quadratics share one expansion (see _logistic_image).  Its mode
+    ratio (x0-1)/x0 lies in (-1, 1) only for x0 > 1/2, so the logistic
+    rejects x0 <= 1/2 outright; riccati x0 >= 0 is y0 >= 1/2.
     """
 
     kind: EquationKind
@@ -77,9 +79,9 @@ class ProblemSpec:
         elif self.kind is EquationKind.LOGISTIC:
             if self.lambda_ is None or not 0 < self.lambda_ < math.inf:
                 raise ValueError("logistic requires a finite growth rate lambda_ > 0")
-            if not (0.5 < self.x0 <= 1.0):
+            if not self.x0 > 0.5:
                 raise ValueError(
-                    "logistic requires 1/2 < x0 <= 1 (mode ratio |x0-1|/x0 "
+                    "logistic requires x0 > 1/2 (mode ratio |x0-1|/x0 "
                     "must stay below 1 for the expansion to converge)")
             self._reject("a", "b")
         else:
@@ -172,24 +174,33 @@ class SpectralSolution:
 
         It holds at every t >= 0 because every eigenvalue is <= 0 and
         E_a(-x) is completely monotone, so 0 < E_a(-x) <= 1 (Pollard 1948).
-        riccati 2|r|^K/(1-|r|), logistic |q|^K/(1-|q|), cubic
-        r_K rho^K/(1-rho) x0/sqrt(beta+1) with r_K = (2K-1)!!/(2K)!!, which
-        bounds the cubic tail since r_k decreases in k; inf when the mode
-        ratio has modulus 1 (riccati x0 = 0).
+        Quadratic: scale |q|^K/(1-|q|) from the logistic image X = shift +
+        scale Y (riccati: scale 2).  Cubic: r_K rho^K/(1-rho) x0/sqrt(beta+1)
+        with r_K = (2K-1)!!/(2K)!!, which bounds the cubic tail since r_k
+        decreases in k.  inf when the mode ratio has modulus 1 (riccati x0 = 0).
         """
         spec, K = self.spec, self.terms
-        if spec.kind is EquationKind.RICCATI:
-            ratio, amplitude = abs((spec.x0 - 1.0) / (spec.x0 + 1.0)), 2.0
-        elif spec.kind is EquationKind.LOGISTIC:
-            ratio, amplitude = abs((spec.x0 - 1.0) / spec.x0), 1.0
-        else:
+        if spec.kind is EquationKind.CUBIC:
             beta = (spec.b / spec.a) * spec.x0 ** 2
             ratio = beta / (beta + 1.0)
             r_K = math.exp(math.lgamma(K + 0.5) - math.lgamma(K + 1.0)) / math.sqrt(math.pi)
             amplitude = r_K * abs(spec.x0) / math.sqrt(beta + 1.0)
+        else:
+            _, q, amplitude, _ = _logistic_image(spec)
+            ratio = abs(q)
         if ratio >= 1.0:
             return math.inf
         return amplitude * ratio ** K / (1.0 - ratio)
+
+
+def _logistic_image(spec: ProblemSpec) -> tuple[float, float, float, float]:
+    """(rate, q, scale, shift) of a quadratic spec: X = shift + scale Y with
+    d^a Y = rate Y (1 - Y), and q = (y0-1)/y0 the mode ratio.  q is formed
+    from x0: a rounded y0 = (x0+1)/2 would move it by up to 1e-16/|x0-1|
+    relative."""
+    if spec.kind is EquationKind.RICCATI:
+        return 2.0, (spec.x0 - 1.0) / (spec.x0 + 1.0), 2.0, -1.0
+    return spec.lambda_ ** spec.alpha, (spec.x0 - 1.0) / spec.x0, 1.0, 0.0
 
 
 def _rhs_coefficients(spec: ProblemSpec) -> tuple[float, ...]:
@@ -213,10 +224,11 @@ def _horner(p: tuple[float, ...], x):
 def build_spectrum(spec: ProblemSpec, terms: int = 100) -> SpectralSolution:
     """Eigenvalues and composite coefficients of the truncated expansion.
 
-    riccati : lambda_k = -2k,            c_k = 2 r^k, r = (x0-1)/(x0+1), offset -1
-    logistic: lambda_k = -k lambda^a,    c_k = q^k,   q = (x0-1)/x0
-    cubic   : lambda_k = -(2k+1) a,      c_k = [(2k-1)!!/(2k)!!] rho^k x0/sqrt(beta+1)
-              with beta = (b/a) x0^2, rho = beta/(beta+1)
+    quadratic: lambda_k = -k rate,  c_k = scale q^k,  offset shift, read
+               through the logistic image (rate, q, scale, shift):
+               logistic (lambda^a, (x0-1)/x0, 1, 0), riccati (2, (x0-1)/(x0+1), 2, -1)
+    cubic    : lambda_k = -(2k+1) a,  c_k = [(2k-1)!!/(2k)!!] rho^k x0/sqrt(beta+1)
+               with beta = (b/a) x0^2, rho = beta/(beta+1)
 
     The double-factorial ratio uses the overflow-free recurrence
     r_k = r_{k-1} (2k-1)/(2k), r_0 = 1.
@@ -224,17 +236,7 @@ def build_spectrum(spec: ProblemSpec, terms: int = 100) -> SpectralSolution:
     if terms < 1:
         raise ValueError("terms must be >= 1")
     k = np.arange(terms, dtype=float)
-    if spec.kind is EquationKind.RICCATI:
-        ratio = (spec.x0 - 1.0) / (spec.x0 + 1.0)
-        eigenvalues = -2.0 * k
-        coeffs = 2.0 * ratio ** k
-        offset = -1.0
-    elif spec.kind is EquationKind.LOGISTIC:
-        ratio = (spec.x0 - 1.0) / spec.x0
-        eigenvalues = -k * spec.lambda_ ** spec.alpha
-        coeffs = ratio ** k
-        offset = 0.0
-    else:
+    if spec.kind is EquationKind.CUBIC:
         beta = (spec.b / spec.a) * spec.x0 ** 2
         rho = beta / (beta + 1.0)
         eigenvalues = -(2.0 * k + 1.0) * spec.a
@@ -243,6 +245,10 @@ def build_spectrum(spec: ProblemSpec, terms: int = 100) -> SpectralSolution:
             dfr[m] = dfr[m - 1] * (2.0 * m - 1.0) / (2.0 * m)
         coeffs = dfr * rho ** k * (spec.x0 / math.sqrt(beta + 1.0))
         offset = 0.0
+    else:
+        rate, q, scale, offset = _logistic_image(spec)
+        eigenvalues = -k * rate
+        coeffs = scale * q ** k
     return SpectralSolution(spec=spec, terms=terms, eigenvalues=eigenvalues,
                             coeffs=coeffs, offset=offset)
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .problems import (EquationKind, ProblemSpec, SpectralSolution, Trajectory,
-                       _expansion, _horner, _mode_sums, _rhs_coefficients, build_spectrum)
+                       _expansion, _horner, _logistic_image, _mode_sums,
+                       _rhs_coefficients, build_spectrum)
 
 # Unused here; bench/tracing.py wraps these names on this module as traced layers.
 from ._summation import exact_dot, neumaier_dot_rows  # noqa: F401
@@ -29,7 +29,6 @@ __all__ = [
     "FitError",
     "ResidualReport",
     "rhs_nonlinear",
-    "lhs_caputo",
     "residual",
     "residual_trajectory",
     "residual_short_asymptote",
@@ -60,21 +59,9 @@ def rhs_nonlinear(spec: ProblemSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def lhs_caputo(sol: SpectralSolution, t: float) -> float:
-    """Caputo derivative of the expansion, summed termwise at a single time.
-
-    Each mode obeys d^a E_a(l t^a) = l E_a(l t^a), so the derivative is
-    sum_k c_k lambda_k E_a(lambda_k t^a).  At t = 0 this returns the finite
-    mode-sum limit sum_k c_k lambda_k (the k = 0 constant mode contributes
-    nothing for any t).
-    """
-    _, modes, _ = _expansion(sol, t)
-    return float(_mode_sums(modes, sol.coeffs * sol.eigenvalues)[0])
-
-
 def residual(sol: SpectralSolution, t: float) -> float:
-    """Delta(t) = rhs_nonlinear(X(t)) - lhs_caputo(t) at a single time: a
-    one-point residual_trajectory."""
+    """Delta(t) = rhs_nonlinear(X(t)) minus the termwise Caputo derivative at
+    a single time: a one-point residual_trajectory."""
     return float(residual_trajectory(sol, t).values[0])
 
 
@@ -168,23 +155,6 @@ def residual_short_asymptote(spec: ProblemSpec, t, model: str = "derived"):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=64)
-def _cubic_long_fit(alpha: float, x0: float, a: float, b: float,
-                    terms: int) -> tuple[float, float, float]:
-    spec = ProblemSpec(kind=EquationKind.CUBIC, alpha=alpha, x0=x0, a=a, b=b)
-    sol = build_spectrum(spec, terms)
-    grid = np.geomspace(1e2, 1e4, 64)
-    delta = residual_trajectory(sol, grid).values
-    if not np.any(delta):
-        return 0.0, 0.0, 0.0    # fixed point x0 = 0: the residual vanishes
-    u = grid ** (-alpha) / math.gamma(1.0 - alpha)
-    design = np.stack([u, u ** 2, u ** 3], axis=1)
-    # relative least squares so the decade span does not drown the tail
-    w = 1.0 / np.abs(delta)
-    coef, *_ = np.linalg.lstsq(design * w[:, None], delta * w, rcond=None)
-    return float(coef[0]), float(coef[1]), float(coef[2])
-
-
 def cubic_long_coefficients(spec: ProblemSpec, terms: int = 100) -> tuple[float, float, float]:
     """(C1, C2, C3) of the cubic tail model C1 u + C2 u^2 + C3 u^3 with
     u = t^(-alpha)/Gamma(1-alpha), fitted to the residual on t in [1e2, 1e4]."""
@@ -192,11 +162,20 @@ def cubic_long_coefficients(spec: ProblemSpec, terms: int = 100) -> tuple[float,
         raise ValueError("cubic coefficients are defined for the cubic equation")
     if spec.alpha >= 1.0:
         raise ValueError("tail model requires alpha < 1")
-    return _cubic_long_fit(spec.alpha, spec.x0, spec.a, spec.b, terms)
+    grid = np.geomspace(1e2, 1e4, 64)
+    delta = residual_trajectory(build_spectrum(spec, terms), grid).values
+    if not np.any(delta):
+        return 0.0, 0.0, 0.0    # fixed point x0 = 0: the residual vanishes
+    u = grid ** (-spec.alpha) / math.gamma(1.0 - spec.alpha)
+    design = np.stack([u, u ** 2, u ** 3], axis=1)
+    # relative least squares so the decade span does not drown the tail
+    w = 1.0 / np.abs(delta)
+    coef, *_ = np.linalg.lstsq(design * w[:, None], delta * w, rcond=None)
+    return float(coef[0]), float(coef[1]), float(coef[2])
 
 
 def _logistic_tail(u, y0: float, inv_rate: float):
-    """u (y0 - 1 - log y0) - lambda^(-a) u^2 log^2 y0, inv_rate = lambda^(-a)."""
+    """u (y0 - 1 - log y0) - inv_rate u^2 log^2 y0 at rate 1/inv_rate."""
     ly = math.log(y0)
     return u * (y0 - 1.0 - ly) - inv_rate * u ** 2 * ly ** 2
 
@@ -208,10 +187,9 @@ def residual_long_asymptote(spec: ProblemSpec, t, terms: int = 100,
     With u = t^(-a)/Gamma(1-a) and L = log((x0+1)/2):
 
     logistic: u (x0 - 1 - log x0) - lambda^(-a) u^2 log^2 x0
-    riccati : u [x0 - 1 - 2L - L^2 u]  (model="derived", the default)
-              Y = (X+1)/2 maps riccati onto logistic with lambda^a = 2,
-              y0 = (x0+1)/2 and the same mode ratio, so Delta_ric =
-              2 Delta_log(y0); it vanishes at the fixed point x0 = 1.
+    riccati : u [x0 - 1 - 2L - L^2 u]  (model="derived", the default):
+              scale Delta_log(y0) through the logistic image X = shift +
+              scale Y, y0 = (x0 - shift)/scale; it vanishes at x0 = 1.
               u [2L + x0 + 1 - L^2 u]  (model="paper", kept on record)
     cubic   : C1 u + C2 u^2 + C3 u^3 with numerically fitted coefficients
               (both models)
@@ -222,17 +200,15 @@ def residual_long_asymptote(spec: ProblemSpec, t, terms: int = 100,
     tt = np.asarray(t, dtype=float)
     a = spec.alpha
     u = tt ** (-a) / math.gamma(1.0 - a)
-    if spec.kind is EquationKind.RICCATI:
-        if model == "paper":
-            big_l = math.log((spec.x0 + 1.0) / 2.0)
-            out = u * (2.0 * big_l + spec.x0 + 1.0 - big_l ** 2 * u)
-        else:
-            out = 2.0 * _logistic_tail(u, (spec.x0 + 1.0) / 2.0, 0.5)
-    elif spec.kind is EquationKind.LOGISTIC:
-        out = _logistic_tail(u, spec.x0, spec.lambda_ ** (-a))
-    else:
+    if spec.kind is EquationKind.CUBIC:
         c1, c2, c3 = cubic_long_coefficients(spec, terms)
         out = c1 * u + c2 * u ** 2 + c3 * u ** 3
+    elif model == "paper" and spec.kind is EquationKind.RICCATI:
+        big_l = math.log((spec.x0 + 1.0) / 2.0)
+        out = u * (2.0 * big_l + spec.x0 + 1.0 - big_l ** 2 * u)
+    else:
+        rate, _, scale, shift = _logistic_image(spec)
+        out = scale * _logistic_tail(u, (spec.x0 - shift) / scale, 1.0 / rate)
     return float(out) if out.ndim == 0 else out
 
 

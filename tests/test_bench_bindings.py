@@ -1,13 +1,16 @@
 """The benchmark traces fracspec by replacing module attributes by name
-(``bench/tracing.py``); every name it wraps must stay bound."""
+(``bench/tracing.py``) and calls it as ``fx.<module>.<name>``
+(``bench/workloads.py``); every name it wraps or calls must stay bound."""
 
 import importlib
+import re
 import types
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -20,14 +23,17 @@ def _load_tracing():
 tracing = _load_tracing()
 BINDINGS = sorted({(modname, attr) for _, modules, attr, _, _ in tracing.LAYERS
                    for modname in modules})
+# the workloads' fx.<module>.<name>( calls, read from source like tracing.py
+NAMES = sorted(set(BINDINGS) | set(re.findall(r"\bfx\.(\w+)\.(\w+)\(",
+                                               (BENCH / "workloads.py").read_text())))
 # modules by name, as the benchmark holds them (the package's own
 # ``residual`` attribute is a function)
 fx = types.SimpleNamespace(**{
     name: importlib.import_module(f"fracspec.{name}")
-    for name in {modname for modname, _ in BINDINGS} | {"mittag_leffler"}})
+    for name in {modname for modname, _ in NAMES} | {"mittag_leffler"}})
 
 
-@pytest.mark.parametrize("modname, attr", BINDINGS)
+@pytest.mark.parametrize("modname, attr", NAMES)
 def test_layer_binding_resolves(modname, attr):
     assert callable(getattr(getattr(fx, modname), attr, None)), f"fracspec.{modname}.{attr}"
 

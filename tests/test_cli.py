@@ -9,11 +9,18 @@ import pytest
 import fracspec
 from fracspec.cli import main
 from fracspec.residual import FitError, analyze
-from fracspec.io import format_float, read_csv, write_csv
+from fracspec.io import format_float, write_csv
 
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def read_csv(path):
+    """(header, columns) of a fracspec CSV, '#' preamble lines skipped."""
+    lines = [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
+    rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+    return lines[0].split(","), [np.array(col) for col in zip(*rows)]
 
 
 class TestCsvRoundTrip:

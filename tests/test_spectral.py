@@ -88,6 +88,34 @@ class TestBuildSpectrum:
         with pytest.raises(ValueError):
             build_spectrum(riccati(0.75, 0.5), terms=0)
 
+    @pytest.mark.parametrize("x0", [1.0 + 1e-9, 1.0 + 2e-9, 1.0 - 1e-9])
+    def test_riccati_ratio_from_x0(self, x0):
+        # near x0 = 1 a rounded y0 = (x0+1)/2 is ~1e-16 off against y0 - 1 ~ 1e-9,
+        # so a ratio formed from it would be ~1e-7 off (x0+1 is exact for the
+        # first x0 here, and rounds for the other two)
+        assert build_spectrum(riccati(0.75, x0)).coeffs[1] == 2.0 * (x0 - 1.0) / (x0 + 1.0)
+
+
+class TestLogisticAboveOne:
+    """x0 > 1: mode ratio (x0-1)/x0 in (0, 1), the logistic image of riccati x0 > 1."""
+
+    GRID = np.array([0.0, 1e-3, 0.1, 1.0, 10.0, 100.0])
+
+    @pytest.mark.parametrize("x0", [1.5, 3.0])
+    def test_integer_order_closed_form(self, x0):
+        for lam in (1.0, 2.0):
+            spec = logistic(1.0, x0, lam)
+            x = eval_trajectory(build_spectrum(spec), self.GRID).values
+            assert np.allclose(x, closed_form_integer(spec, self.GRID), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x0", [1.5, 3.0])
+    def test_riccati_image(self, x0):
+        # Y = (X+1)/2 takes riccati x0' = 2 x0 - 1 onto the logistic at rate 2
+        a = 0.75
+        y = eval_trajectory(build_spectrum(logistic(a, x0, 2.0 ** (1.0 / a))), self.GRID).values
+        x = eval_trajectory(build_spectrum(riccati(a, 2.0 * x0 - 1.0)), self.GRID).values
+        assert np.max(np.abs(2.0 * y - 1.0 - x)) <= 1e-14
+
 
 class TestEvalSolution:
     def test_t_zero_returns_x0_exactly(self):
