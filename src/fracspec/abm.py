@@ -19,8 +19,12 @@ cancellation, as the two rows of one array; a step takes both history
 sums from a slice of it against the history after f_0, which takes scalar
 terms, in one BLAS call (a ddot per sum on runs past 1e4 steps).  Coarse
 weights are the kernels at coarse lags scaled by R^a; the fine history
-keeps its fine-lattice weights, and each coarse step takes its share from
-a second slice.  P = h^a/Gamma(a+1) and C = h^a/Gamma(a+2).
+keeps its fine-lattice weights.  It is final when the coarse phase starts,
+so its share of every coarse step is computed there, by chunks of R fine
+nodes, each chunk one product over every coarse step, with intermediates
+of O(n_coarse) and O(n_fine) (_fine_share); a coarse step then takes one
+product, over the coarse history.  P = h^a/Gamma(a+1) and
+C = h^a/Gamma(a+2).
 On any other strictly increasing grid the product-rectangle /
 product-trapezoid weights are rebuilt each step from u_j = t_{n+1} - t_j
 and dotted with the history, with P = C = 1/Gamma(a).  The history
@@ -168,6 +172,53 @@ def _ddots(rows: np.ndarray, g: np.ndarray):
     return float(np.dot(rows[0], g)), float(np.dot(rows[1], g))
 
 
+# The fine history's share of the coarse steps is taken in products of at
+# most _SHARE_CELLS table cells (512 KB).  A block of coarse steps runs
+# through every chunk of the fine history in turn, over table rows that
+# overlap by all but one row, so the block's reads stay in a 2 MB L2 cache;
+# and each product stays below OpenBLAS's multithreading threshold for dgemv
+# (460,800 cells in 0.3.31), whose first threaded calls in a process cost
+# milliseconds each.
+_SHARE_CELLS = 1 << 16
+
+
+def _fine_share(table: np.ndarray, ratio: int, n_coarse: int, fine: np.ndarray, dots):
+    """The (pred, hist) sums over the fine history f_1..f_{n_fine-1} of every
+    coarse step s = 1..n_coarse, as a (2, n_coarse) array, from the table of
+    _lattice_sums.  They are final once the coarse phase starts.
+
+    Step s weighs f_j at table column ratio (n_coarse - s) + j.  Read from
+    column 1 as rows of ``ratio`` columns, the table meets the c-th chunk of
+    ``ratio`` fine nodes at step s on row n_coarse - s + c, so chunk c adds
+    to every coarse step through one (n_coarse x ratio) product over rows
+    c..c+n_coarse-1: each step's share is a sum of ceil((n_fine-1)/ratio)
+    dots of ``ratio`` terms.  The rows are views of the table's memory; in a
+    column-major table they interleave both kernels, and a chunk's f values
+    are spread over every other entry of its vector, zeros between.  The
+    only intermediates are those vectors, O(n_fine), and O(n_coarse) sums.
+    With more chunks than coarse steps, each step takes its own window of
+    the table instead, one product per step as in the coarse loop.
+    """
+    n_chunks = -(-fine.size // ratio)
+    if n_chunks > n_coarse:
+        windows = range(1 + ratio * (n_coarse - 1), 0, -ratio)
+        return np.array([dots(table[:, lo:lo + fine.size], fine) for lo in windows]).T
+    flat = table.ravel(order="K")               # the table's memory, no copy
+    row_step, col_step = (n // table.itemsize for n in table.strides)
+    width = ratio * col_step
+    chunks = np.zeros((n_chunks, width))
+    chunks[:, ::col_step].flat[:fine.size] = fine
+    share = np.zeros((2, n_coarse))
+    rows = max(1, _SHARE_CELLS // width)
+    for kernel, sums in enumerate(share):
+        for r in range(0, n_coarse, rows):
+            acc = sums[r:r + rows]
+            for c, g in enumerate(chunks):
+                lo = kernel * row_step + (1 + ratio * (c + r)) * col_step
+                acc += flat[lo:lo + acc.size * width].reshape(acc.size, width) @ g
+    return share[:, ::-1]
+
+
 def _lattice_sums(alpha: float, n_fine: int, ratio: int, n_coarse: int, f: np.ndarray):
     """Per-step (pred_sum, hist_sum, w_self) against ``f``, in the uniform
     units, on the lattice grid t = h L with L = 0, 1, ..., n_fine followed by
@@ -177,11 +228,13 @@ def _lattice_sums(alpha: float, n_fine: int, ratio: int, n_coarse: int, f: np.nd
     rows of one table, so a slice of it against f_1..f_n gives both history
     sums of a fine step; f_0 takes scalar terms.  The kernel (t - s)^(a-1) ds
     is homogeneous of degree a, so a coarse interval's weights are the
-    kernels at its coarse lag times ratio^a.  A coarse step takes the sums
-    over the fine history f_1..f_{n_fine-1} and over the coarse history, and
-    adds f_0 and the switch node L = n_fine, which joins the right end of
+    kernels at its coarse lag times ratio^a.  The fine history
+    f_1..f_{n_fine-1} is final at the switch, so its share of every coarse
+    step is computed there, by chunks of ``ratio`` fine nodes (_fine_share),
+    with f_0 and the switch node L = n_fine, which joins the right end of
     the last fine interval to the left end of the first coarse one, as
-    scalar terms.
+    scalar terms.  A coarse step then takes one product, over the coarse
+    history.
     """
     top = n_fine + ratio * n_coarse             # largest lag + 1
     short = n_fine + n_coarse <= _GEMV_STEPS
@@ -208,12 +261,12 @@ def _lattice_sums(alpha: float, n_fine: int, ratio: int, n_coarse: int, f: np.nd
     f_switch = f[n_fine]
     pred_base = f0_pred[n_fine:] + scale * f_switch * table[0, top - n_coarse:][::-1]
     hist_base = f0_hist[n_fine:] + f_switch * (right + scale * coarse_first)
-    fine = f[1:n_fine]
+    fine_pred, fine_hist = _fine_share(table, ratio, n_coarse, f[1:n_fine], dots)
+    pred_base += fine_pred
+    hist_base += fine_hist
     for s, (p0, h0) in enumerate(zip(pred_base.tolist(), hist_base.tolist()), 1):
-        lo = 1 + ratio * (n_coarse - s)         # f_1's column: lag ratio s + n_fine - 2
-        fine_pred, fine_hist = dots(table[:, lo:lo + fine.size], fine)
         pred, hist = dots(table[:, top - s + 1:], f[n_fine + 1:n_fine + s])
-        yield p0 + fine_pred + scale * pred, h0 + fine_hist + scale * hist, scale
+        yield p0 + scale * pred, h0 + scale * hist, scale
 
 
 def _lattice(times: np.ndarray):

@@ -85,12 +85,19 @@ class MlParams:
     def series_neg_cutoff(self) -> float:
         """|z| up to which ``ml_series`` stays usable on z < 0.
 
-        Its worst relative error on [-cutoff, 0] (400 points against a
-        40-digit reference) is at most 6.9e-10 for alpha in [0.1, 0.75],
-        5.9e-9 at 0.9, 2.2e-8 at 0.97 and 6.2e-7 at 0.999 (4.5e-7 at 1):
-        cancellation sets it, and it grows as alpha -> 1.  At alpha = 0.05
-        the series reaches its term cap before the cutoff and warns."""
-        return min(self.asymptote_switch, _SERIES_NEG_EXPONENT_CAP ** self.alpha)
+        The smallest of ``asymptote_switch``, the cancellation cap
+        11.5^alpha and the |z| at which the series term of order
+        k = 0.9 ``series_max_terms`` falls to ``series_tol``, so that the
+        series converges within its term cap; the last binds only for
+        alpha < 0.123 (1.035 at alpha = 0.05, 1.234 at 0.1, against
+        11.5^alpha = 1.13 and 1.28).  Its worst relative error on
+        [-cutoff, 0] (400 points against a 40-digit reference) is 4.7e-15
+        at alpha = 0.03 and 0.05, 9.9e-12 at 0.1, at most 6.9e-10 up to
+        0.75, 5.9e-9 at 0.9, 2.2e-8 at 0.97 and 6.2e-7 at 0.999 (4.5e-7 at
+        1): cancellation sets it, and it grows as alpha -> 1."""
+        k = 0.9 * self.series_max_terms
+        reach = math.exp((math.log(self.series_tol) + math.lgamma(k * self.alpha + 1.0)) / k)
+        return min(self.asymptote_switch, _SERIES_NEG_EXPONENT_CAP ** self.alpha, reach)
 
 
 @lru_cache(maxsize=64)

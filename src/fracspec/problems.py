@@ -255,10 +255,26 @@ def build_spectrum(spec: ProblemSpec, terms: int = 100) -> SpectralSolution:
 
 def mode_matrix(sol: SpectralSolution, times: np.ndarray) -> np.ndarray:
     """E_alpha(eigenvalues * t^alpha) on a grid; shape (len(times), terms).
-    Every argument is <= 0, where ml_eval reads only the order."""
+    Every argument is <= 0, where ml_eval reads only the order.
+
+    E_alpha is evaluated only up to the column of the last nonzero
+    coefficient; the columns after it hold zeros.  c_k is a multiple of q^k
+    or rho^k, so such a zero tail arises at q = 0 (riccati or logistic
+    x0 = 1), in a linear cubic (b = 0, rho = 0), in a cubic at x0 = 0 and
+    where q^k underflows.  E_alpha(-x) lies in [0, 1], so a zero entry
+    times its zero coefficient is the same product, sign included, as the
+    mode it replaces, and mode sums over all columns are bit for bit those
+    of the full matrix."""
     times = np.asarray(times, dtype=float)
-    z = times[:, None] ** sol.spec.alpha * sol.eigenvalues[None, :]
-    return ml_eval(z.ravel(), MlParams(alpha=sol.spec.alpha)).reshape(z.shape)
+    nonzero = np.flatnonzero(sol.coeffs)
+    live = int(nonzero[-1]) + 1 if nonzero.size else 0
+    z = times[:, None] ** sol.spec.alpha * sol.eigenvalues[None, :live]
+    modes = ml_eval(z.ravel(), MlParams(alpha=sol.spec.alpha)).reshape(z.shape)
+    if live == sol.terms:
+        return modes
+    full = np.zeros((times.size, sol.terms))
+    full[:, :live] = modes
+    return full
 
 
 def _mode_sums(modes: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -104,6 +104,18 @@ class TestKernelTables:
                     assert rel <= 1e-14, f"{name} alpha={alpha} m={lag}: {float(rel):.3g}"
 
 
+def _exact_dot(a, b):
+    """a . b rounded once: each product split exactly into p + e (Dekker),
+    all summed by math.fsum."""
+    p = a * b
+    split_a, split_b = a * 134217729.0, b * 134217729.0     # 2^27 + 1
+    a_hi = split_a - (split_a - a)
+    b_hi = split_b - (split_b - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return math.fsum(np.concatenate((p, e)).tolist())
+
+
 def _rebuilt(spec, grid):
     """The per-step weight rebuild on the same grid, as the lattice reference."""
     inv_gamma = 1.0 / math.gamma(spec.alpha)
@@ -163,16 +175,38 @@ class TestLatticeTables:
         assert np.max(np.abs(values - _rebuilt(spec, grid))) <= 1e-13
 
     @pytest.mark.parametrize("grid", [0.01 * np.arange(301),
-                                      two_phase_grid(1e-2, 1.03, 0.05, 2.0)],
-                             ids=["uniform", "two-phase"])
+                                      two_phase_grid(1e-2, 1.03, 0.05, 2.0),
+                                      two_phase_grid(1e-2, 1.0, 0.1, 3.0)],
+                             ids=["uniform", "two-phase", "two-phase-chunks"])
     def test_long_run_products_match_short_run_products(self, monkeypatch, grid):
-        # runs past _GEMV_STEPS take a ddot per sum from a row-major table
+        # runs past _GEMV_STEPS take a ddot per sum from a row-major table;
+        # here the fine history's share also comes in blocks of 6 coarse steps
         spec = riccati(0.75, 2.0)
         short = abm_solve_grid(spec, grid).values
         monkeypatch.setattr(abm, "_GEMV_STEPS", 0)
+        monkeypatch.setattr(abm, "_SHARE_CELLS", 64)
         long = abm_solve_grid(spec, grid).values
         assert np.max(np.abs(long - short)) <= 1e-14
         assert np.max(np.abs(long - _rebuilt(spec, grid))) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.9])
+    def test_fine_share_accuracy(self, alpha):
+        # the long-tail grid (1000 fine nodes, ratio 50, 1980 coarse steps);
+        # with f_0 = 0 and f = 0 from the switch node on, a coarse step's
+        # sums are the fine history's share alone.  One dgemv per step, a
+        # single running sum over 999 terms, was 5.7-9.6e-16 off.
+        n_fine, ratio, n_coarse = 1000, 50, 1980
+        f = np.zeros(n_fine + n_coarse + 1)
+        f[1:n_fine] = np.cos(np.pi * np.arange(1, n_fine) / n_fine)   # one sign change
+        sums = list(abm._lattice_sums(alpha, n_fine, ratio, n_coarse, f))[n_fine:]
+        kernels = _lattice_kernels(alpha, np.arange(n_fine + ratio * n_coarse, dtype=float),
+                                   ("pred", "interior"))
+        for s in [*range(1, n_coarse, 99), n_coarse]:
+            lags = n_fine + ratio * s - 1 - np.arange(1, n_fine)
+            for got, kernel in zip(sums[s - 1], kernels):
+                terms = (kernel[lags], f[1:n_fine])
+                size = math.fsum(np.abs(terms[0] * terms[1]).tolist())
+                assert abs(got - _exact_dot(*terms)) <= 4e-16 * size, s
 
     def test_sparse_lattice_rebuilds(self):
         # on the lattice of its 1e-4 first step this grid spans 3e4 lags for

@@ -1,13 +1,18 @@
 """The benchmark traces fracspec by replacing module attributes by name
 (``bench/tracing.py``) and calls it as ``fx.<module>.<name>``
-(``bench/workloads.py``); every name it wraps or calls must stay bound."""
+(``bench/workloads.py``); every name it wraps or calls must stay bound, and
+the grids its integrator workloads solve on must take the lattice tables."""
 
+import ast
 import importlib
 import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fracspec import abm
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -48,3 +53,23 @@ def test_install_round_trip():
         tracer.uninstall()
     for (modname, attr), fn in originals.items():
         assert getattr(getattr(fx, modname), attr) is fn
+
+
+def _workload_constants(*names):
+    """Module-level constants of bench/workloads.py, read from its syntax tree
+    so that nothing under bench/ is imported."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    found = {target.id: ast.literal_eval(node.value)
+             for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)
+             and target.id in names}
+    return [found[name] for name in names]
+
+
+def test_integrator_workloads_take_lattice_tables():
+    # a grid that fell to the per-step weight rebuild would slow every
+    # integrator op of crosscheck and long-tail several-fold
+    t_cross, h_cross, tail = _workload_constants("T_CROSS", "H_CROSS", "TAIL")
+    cfg = abm.IntegratorConfig(t_max=t_cross, h=h_cross)
+    assert abm._lattice(cfg.h * np.arange(cfg.n_steps + 1)) is not None
+    assert abm._lattice(abm.two_phase_grid(**tail)) is not None

@@ -113,6 +113,23 @@ class TestEval:
         a50 = ml_asymptotic(p.asymptote_switch, alpha)
         assert abs(q50 - a50) / abs(q50) < 1e-6
 
+    @pytest.mark.parametrize("alpha", [0.03, 0.05, 0.1])
+    def test_series_within_term_cap_to_cutoff(self, alpha, ml_ref):
+        # 11.5^alpha lies beyond the series' 500-term reach for small alpha
+        # (1.13 at alpha = 0.05, where the series warned and was 22x off)
+        p = MlParams(alpha=alpha)
+        x = np.linspace(0.0, p.series_neg_cutoff, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            got = ml_series(-x, p)
+        ref = np.array([float(ml_ref(-v, alpha)) for v in x])
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+
+    def test_series_cutoff_kept_where_cancellation_binds(self):
+        # the seam points of criterion 9 and test_branch_seam_agreement
+        for alpha in A_GRID:
+            assert MlParams(alpha=alpha).series_neg_cutoff == 11.5 ** alpha
+
     @pytest.mark.parametrize("alpha", [0.97, 0.99, 0.999])
     def test_accuracy_near_one(self, alpha, ml_ref):
         # the contour form loses accuracy like 1e-14/(1 - alpha) as the tail

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracspec import (EquationKind, ProblemSpec, Trajectory, build_spectrum,
-                      closed_form_integer, cubic, eval_solution,
-                      eval_trajectory, logistic, riccati)
+from fracspec import (EquationKind, MlParams, ProblemSpec, Trajectory,
+                      build_spectrum, closed_form_integer, cubic, eval_solution,
+                      eval_trajectory, logistic, ml_eval, residual_trajectory,
+                      riccati, rhs_nonlinear)
 
 
 class TestProblemSpec:
@@ -216,6 +217,40 @@ class TestEvalTrajectory:
             eval_trajectory(sol, [0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             eval_trajectory(sol, [])
+
+
+class TestZeroTail:
+    """mode_matrix evaluates E_alpha only up to the last nonzero coefficient;
+    X and Delta must still be bit for bit the sums over the full matrix."""
+
+    GRID = np.concatenate(([0.0], np.geomspace(1e-4, 1e3, 300)))
+
+    @staticmethod
+    def _full(sol, grid):
+        # every column through ml_eval, summed as problems._mode_sums does
+        z = grid[:, None] ** sol.spec.alpha * sol.eigenvalues[None, :]
+        modes = ml_eval(z.ravel(), MlParams(alpha=sol.spec.alpha)).reshape(z.shape)
+        x = sol.offset + (modes * sol.coeffs).sum(axis=1)
+        x[0] = sol.spec.x0
+        delta = rhs_nonlinear(sol.spec, x) - (modes * (sol.coeffs * sol.eigenvalues)).sum(axis=1)
+        return x, delta
+
+    @pytest.mark.parametrize("spec, live, bounded", [
+        (cubic(0.5, 1.3, 1.0, 0.0), 1, True),           # linear: rho = 0
+        (cubic(0.75, 0.0, 1.0, 1.0), 0, True),          # x0 = 0: every c_k = 0
+        (riccati(0.75, 1.0), 1, True),                  # q = 0
+        (logistic(0.9, 1.0, 2.0), 1, True),             # q = 0
+        (riccati(0.75, 1.0 + 1e-4), 76, False),         # q^k underflows
+    ])
+    def test_bitwise_against_full_matrix(self, spec, live, bounded):
+        sol = build_spectrum(spec)
+        assert np.count_nonzero(sol.coeffs) == live
+        assert not np.any(sol.coeffs[live:])
+        x, delta = self._full(sol, self.GRID)
+        assert eval_trajectory(sol, self.GRID).values.tobytes() == x.tobytes()
+        assert residual_trajectory(sol, self.GRID).values.tobytes() == delta.tobytes()
+        if bounded:
+            assert sol.tail_bound == 0.0
 
 
 class TestClosedForms:
